@@ -9,23 +9,36 @@ to the *left* of normal words and acts as padding, so ``(x, 1)`` and
 ``(1, x)`` both map to ``(1, x)``.
 
 Rewriting a word means applying the table to two adjacent letters.  A word
-is normal when every adjacent pair is fixed.  ``normalize`` computes a
-normal word of the same length by repeated left-to-right sweeps, falling
-back to an exhaustive search of the rewrite graph when the sweeps cycle.
-``breadth`` measures how many alternating applications are needed to
-normalise three-letter words, and ``condition_home`` is the bounded-breadth
-predicate (d <= 4 and p <= 3) under which the companion Mealy automaton of
-:mod:`garnorm.machines` computes exactly.
+is normal when every adjacent pair is fixed.  ``breadth`` measures how many
+alternating applications are needed to normalise three-letter words, and
+``condition_home`` is the bounded-breadth predicate (d <= 4 and p <= 3)
+under which the companion Mealy automaton of :mod:`garnorm.machines`
+computes exactly.
+
+``normalize`` computes a normal word of the same length by one of two
+strategies.  Dehornoy and Guiraud ("Quadratic normalisation in monoids",
+IJAC 2016) show that an idempotent table with N_121 = N_2121 on every
+three-letter word, which is what ``condition_home`` checks, is the
+restriction of a normalisation of class (4,3); for such a table N(w x) is
+one right-to-left sweep of N(w) x, so normal forms are built by inserting
+the letters one at a time.  Every other table is normalised by repeated
+left-to-right sweeps, falling back to an exhaustive search of the rewrite
+graph when the sweeps cycle.  Both strategies, and the sweeping transducer
+of :mod:`garnorm.machines`, share one encoding: a flat tuple of image
+pairs indexed ``a * g + b`` for the pair (a, b) over g letters.
 
 All values are immutable after construction and all operations are pure
-functions of their inputs, so concurrent read-only use is safe.
+functions of their inputs, so concurrent read-only use is safe.  The one
+cached value, whether a table satisfies ``condition_home``, is computed on
+first use and written once; concurrent first uses compute the same value,
+so the unlocked write is harmless.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_NODE_BUDGET = 100_000
@@ -291,7 +304,7 @@ class NormTable:
     and a total map on ordered pairs of letters (unlisted pairs are fixed).
     """
 
-    __slots__ = ("alphabet", "unit", "_map")
+    __slots__ = ("alphabet", "unit", "_pairs", "_home")
 
     def __init__(
         self,
@@ -309,14 +322,13 @@ class NormTable:
         self.unit = unit
 
         g = len(alphabet)
-        table: dict[tuple[int, int], tuple[int, int]] = {
-            (a, b): (a, b) for a in range(g) for b in range(g)
-        }
+        pairs = [(a, b) for a in range(g) for b in range(g)]
         items = rules.items() if isinstance(rules, Mapping) else rules
         for (a, b), (c, d) in items:
-            key = (self._sym(a).id, self._sym(b).id)
-            table[key] = (self._sym(c).id, self._sym(d).id)
-        self._map = table
+            pairs[self._sym(a).id * g + self._sym(b).id] = (self._sym(c).id, self._sym(d).id)
+        # image of the pair (a, b) at index a * g + b
+        self._pairs: tuple[tuple[int, int], ...] = tuple(pairs)
+        self._home: bool | None = None  # see _incremental
 
     def _sym(self, s) -> Symbol:
         if isinstance(s, Symbol):
@@ -325,23 +337,26 @@ class NormTable:
             return s
         return self.alphabet[s]
 
+    def _index(self, a: Symbol | str, b: Symbol | str) -> int:
+        return self._sym(a).id * len(self.alphabet) + self._sym(b).id
+
     def entry(self, a: Symbol | str, b: Symbol | str) -> tuple[Symbol, Symbol]:
-        c, d = self._map[self._sym(a).id, self._sym(b).id]
+        c, d = self._pairs[self._index(a, b)]
         syms = self.alphabet.symbols
         return syms[c], syms[d]
 
     def is_fixed(self, a: Symbol | str, b: Symbol | str) -> bool:
-        key = (self._sym(a).id, self._sym(b).id)
-        return self._map[key] == key
+        k = self._index(a, b)
+        return self._pairs[k] == divmod(k, len(self.alphabet))
 
     def rules(self) -> tuple[tuple[tuple[Symbol, Symbol], tuple[Symbol, Symbol]], ...]:
         """The non-fixed entries, sorted by source pair."""
         syms = self.alphabet.symbols
         out = []
-        for key in sorted(self._map):
-            val = self._map[key]
-            if val != key:
-                out.append(((syms[key[0]], syms[key[1]]), (syms[val[0]], syms[val[1]])))
+        for k, (c, d) in enumerate(self._pairs):
+            a, b = divmod(k, len(syms))
+            if (c, d) != (a, b):
+                out.append(((syms[a], syms[b]), (syms[c], syms[d])))
         return tuple(out)
 
     def idempotence_failures(
@@ -349,14 +364,15 @@ class NormTable:
     ) -> list[tuple[tuple[Symbol, Symbol], tuple[Symbol, Symbol], tuple[Symbol, Symbol]]]:
         """Pairs whose image is not fixed: (pair, image, image of image)."""
         syms = self.alphabet.symbols
+        g = len(syms)
         fails = []
-        for key in sorted(self._map):
-            once = self._map[key]
-            twice = self._map[once]
+        for k, once in enumerate(self._pairs):
+            twice = self._pairs[once[0] * g + once[1]]
             if twice != once:
+                a, b = divmod(k, g)
                 fails.append(
                     (
-                        (syms[key[0]], syms[key[1]]),
+                        (syms[a], syms[b]),
                         (syms[once[0]], syms[once[1]]),
                         (syms[twice[0]], syms[twice[1]]),
                     )
@@ -375,13 +391,24 @@ class NormTable:
         return (
             isinstance(other, NormTable)
             and self.alphabet == other.alphabet
-            and self._map == other._map
+            and self._pairs == other._pairs
             and (self.unit.name if self.unit else None)
             == (other.unit.name if other.unit else None)
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet, tuple(sorted(self._map.items()))))
+        return hash((self.alphabet, self._pairs))
+
+    def _incremental(self) -> bool:
+        """Whether ``normalize`` may insert letters one at a time: the table
+        satisfies :func:`condition_home`.  Computed on first use and cached;
+        a table whose breadth cannot be computed does not qualify."""
+        if self._home is None:
+            try:
+                self._home = condition_home(self)
+            except GarnormError:
+                self._home = False
+        return self._home
 
     def __repr__(self) -> str:
         unit = f", unit={self.unit.name!r}" if self.unit else ""
@@ -392,32 +419,59 @@ class NormTable:
 # rewriting
 
 
-def _is_normal_ids(table_map, ids: Sequence[int]) -> bool:
+def _is_normal_ids(pairs, g: int, ids: Sequence[int]) -> bool:
     for i in range(len(ids) - 1):
-        key = (ids[i], ids[i + 1])
-        if table_map[key] != key:
+        a, b = ids[i], ids[i + 1]
+        c, d = pairs[a * g + b]
+        if c != a or d != b:
             return False
     return True
 
 
-def _sweep(table_map, w: list[int]) -> bool:
-    """Apply the table at positions 1..n-1 left to right, in place."""
+def _sweep(pairs, g: int, w: list[int]) -> bool:
+    """Apply the table at positions 1..n-1 left to right, in place; each
+    application sees the letter the previous one carried.  Returns whether
+    any application moved a letter, which is false exactly when ``w`` was
+    normal."""
     changed = False
-    for i in range(len(w) - 1):
-        a, b = w[i], w[i + 1]
-        c, d = table_map[a, b]
+    a = w[0]
+    for i, b in enumerate(w[1:]):
+        c, d = pairs[a * g + b]
         if c != a or d != b:
-            w[i] = c
-            w[i + 1] = d
             changed = True
+        w[i] = c
+        a = d
+    w[-1] = a
     return changed
 
 
-def _successors(table_map, ids: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _insert_ids(pairs, g: int, ids: Sequence[int]) -> tuple[int, ...]:
+    """Normal form by letter insertion, exact for class (4,3) tables only.
+
+    Each new letter x turns the normal word N(w) x into N(w x) by one
+    right-to-left sweep; the sweep stops at the first position whose letter
+    the carried letter leaves unchanged, since the normal prefix to its left
+    would be fixed too.
+    """
+    w = [ids[0]]
+    for x in ids[1:]:
+        i = len(w)
+        w.append(x)
+        while i:
+            i -= 1
+            a = w[i]
+            c, w[i + 1] = pairs[a * g + x]
+            if c == a:
+                break
+            w[i] = x = c
+    return tuple(w)
+
+
+def _successors(pairs, g: int, ids: tuple[int, ...]) -> list[tuple[int, ...]]:
     out = []
     for i in range(len(ids) - 1):
         a, b = ids[i], ids[i + 1]
-        c, d = table_map[a, b]
+        c, d = pairs[a * g + b]
         if c != a or d != b:
             out.append(ids[:i] + (c, d) + ids[i + 2 :])
     return out
@@ -428,14 +482,14 @@ def _reachable_normals(
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Breadth-first search of the rewrite graph; collects up to two
     distinct reachable normal words.  Returns (normals, budget_hit)."""
-    mp = table._map
+    pairs, g = table._pairs, len(table.alphabet)
     seen = {start}
     queue = deque([start])
     normals: list[tuple[int, ...]] = []
     budget_hit = False
     while queue:
         w = queue.popleft()
-        succ = _successors(mp, w)
+        succ = _successors(pairs, g, w)
         if not succ:
             normals.append(w)
             if len(normals) == 2:
@@ -451,17 +505,17 @@ def _reachable_normals(
     return normals, budget_hit
 
 
-def _normalize_ids(
+def _sweep_normalize_ids(
     table: NormTable, ids: tuple[int, ...], node_budget: int
 ) -> tuple[int, ...]:
+    """Normal form by repeated sweeps, with an exhaustive fallback search
+    when they cycle; valid for every table."""
     n = len(ids)
-    if n <= 1:
-        return ids
-    mp = table._map
+    pairs, g = table._pairs, len(table.alphabet)
     w = list(ids)
     seen = {ids}
     for _ in range(n * n + n):
-        if not _sweep(mp, w):
+        if not _sweep(pairs, g, w):
             return tuple(w)
         t = tuple(w)
         if t in seen:
@@ -486,6 +540,16 @@ def _normalize_ids(
     return normals[0]
 
 
+def _normalize_ids(
+    table: NormTable, ids: tuple[int, ...], node_budget: int
+) -> tuple[int, ...]:
+    if len(ids) <= 1:
+        return ids
+    if table._incremental():
+        return _insert_ids(table._pairs, len(table.alphabet), ids)
+    return _sweep_normalize_ids(table, ids, node_budget)
+
+
 def _resolve_table_word(table: NormTable, w: Word) -> tuple[int, ...]:
     by_name = table.alphabet._by_name
     try:
@@ -504,8 +568,7 @@ def nbar_apply(table: NormTable, w: Word, i: int) -> Word:
     ids = _resolve_table_word(table, w)
     if not 1 <= i <= len(ids) - 1:
         raise PositionOutOfRange(f"position {i} out of range for a word of length {len(ids)}")
-    a, b = ids[i - 1], ids[i]
-    c, d = table._map[a, b]
+    c, d = table._pairs[ids[i - 1] * len(table.alphabet) + ids[i]]
     return _word_from_ids(table, ids[: i - 1] + (c, d) + ids[i + 1 :])
 
 
@@ -513,29 +576,37 @@ def apply_sequence(table: NormTable, w: Word, positions: Iterable[int]) -> Word:
     """Left-to-right composition: the first listed position is applied first."""
     ids = _resolve_table_word(table, w)
     n = len(ids)
-    mp = table._map
+    pairs, g = table._pairs, len(table.alphabet)
     for i in positions:
         if not 1 <= i <= n - 1:
             raise PositionOutOfRange(f"position {i} out of range for a word of length {n}")
-        a, b = ids[i - 1], ids[i]
-        c, d = mp[a, b]
+        c, d = pairs[ids[i - 1] * g + ids[i]]
         ids = ids[: i - 1] + (c, d) + ids[i + 1 :]
     return _word_from_ids(table, ids)
 
 
 def is_normal(table: NormTable, w: Word) -> bool:
     """True iff every adjacent pair of the word is fixed by the table."""
-    return _is_normal_ids(table._map, _resolve_table_word(table, w))
+    return _is_normal_ids(table._pairs, len(table.alphabet), _resolve_table_word(table, w))
 
 
 def normalize(table: NormTable, w: Word, node_budget: int = DEFAULT_NODE_BUDGET) -> Word:
     """A normal word of the same length reachable from ``w``.
 
-    Strategy: repeated left-to-right sweeps until fixpoint, capped at
-    |w|**2 + |w| sweeps; if the sweeps cycle, an exhaustive breadth-first
-    search of the rewrite graph takes over (up to ``node_budget`` nodes).
-    Raises :class:`NotNormalising` when no normal word is reachable and
-    :class:`NotConfluent` when two distinct ones are.
+    Strategy: when the table satisfies :func:`condition_home`, it is the
+    restriction of a normalisation of class (4,3) (Dehornoy and Guiraud,
+    "Quadratic normalisation in monoids", IJAC 2016), and the normal form
+    is built by inserting the letters one at a time: each new letter is
+    swept right to left through the normal prefix, stopping at the first
+    position that keeps its letter.  This path never raises.  Whether the
+    table qualifies is computed on its first normalisation and cached on
+    the table.
+
+    Every other table gets repeated left-to-right sweeps until fixpoint,
+    capped at |w|**2 + |w| sweeps; if the sweeps cycle, an exhaustive
+    breadth-first search of the rewrite graph takes over (up to
+    ``node_budget`` nodes).  Raises :class:`NotNormalising` when no normal
+    word is reachable and :class:`NotConfluent` when two distinct ones are.
     """
     if len(w) == 0:
         raise GarnormError("cannot normalise the empty word")
@@ -553,20 +624,10 @@ class NormalisationReport:
     table behaved as a normalisation restriction at the checked scale."""
 
     max_len: int
-    idempotence_failures: list = None
-    not_normalising: list = None  # words with no reachable normal form
-    not_confluent: list = None  # (word, normal form 1, normal form 2)
-    axiom_failures: list = None  # (u, w, v, nf of u N(w) v, nf of uwv)
-
-    def __post_init__(self):
-        for name in (
-            "idempotence_failures",
-            "not_normalising",
-            "not_confluent",
-            "axiom_failures",
-        ):
-            if getattr(self, name) is None:
-                setattr(self, name, [])
+    idempotence_failures: list = field(default_factory=list)
+    not_normalising: list = field(default_factory=list)  # words with no reachable normal form
+    not_confluent: list = field(default_factory=list)  # (word, normal form 1, normal form 2)
+    axiom_failures: list = field(default_factory=list)  # (u, w, v, nf of u N(w) v, nf of uwv)
 
     @property
     def ok(self) -> bool:
@@ -587,18 +648,17 @@ def _rewrite_analysis(table: NormTable, n: int):
     exact even when forward rewriting cycles.
     """
     g = len(table.alphabet)
-    mp = table._map
+    pairs = table._pairs
     rev: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a in range(g):
-        for b in range(g):
-            c, d = mp[a, b]
-            if (c, d) != (a, b):
-                rev.setdefault((c, d), []).append((a, b))
+    for k, image in enumerate(pairs):
+        source = divmod(k, g)
+        if image != source:
+            rev.setdefault(image, []).append(source)
 
     all_words = list(itertools.product(range(g), repeat=n))
     nfsets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for nf in all_words:
-        if not _is_normal_ids(mp, nf):
+        if not _is_normal_ids(pairs, g, nf):
             continue
         nfsets[nf] = [nf]
         stack = [nf]
@@ -716,7 +776,7 @@ class Breadth:
 
 
 def _alternating_count(
-    table_map, triple: tuple[int, int, int], target: tuple[int, ...], first: int, cap: int
+    pairs, g: int, triple: tuple[int, int, int], target: tuple[int, ...], first: int, cap: int
 ) -> int | None:
     """Least number of alternating applications turning ``triple`` into
     ``target``; ``first`` is the 0-based position applied first.  Every
@@ -727,8 +787,7 @@ def _alternating_count(
     for count in range(cap + 1):
         if w == target:
             return count
-        a, b = w[pos], w[pos + 1]
-        c, d = table_map[a, b]
+        c, d = pairs[w[pos] * g + w[pos + 1]]
         if pos == 0:
             w = (c, d, w[2])
         else:
@@ -742,24 +801,26 @@ def breadth(table: NormTable, cap: int = 64) -> Breadth:
 
     Requires a pair-idempotent table.  A coordinate whose sequence fails to
     reach the normal form within ``cap`` applications is reported as
-    UNBOUNDED, with the offending triple as witness.
+    UNBOUNDED, with the offending triple as witness.  The normal forms come
+    from repeated sweeps, never from letter insertion, because insertion is
+    only enabled by this very measurement.
     """
     table.require_idempotent()
     g = len(table.alphabet)
-    mp = table._map
+    pairs = table._pairs
 
     d_val, d_wit = 0, (0, 0, 0)
     p_val, p_wit = 0, (0, 0, 0)
     for triple in itertools.product(range(g), repeat=3):
-        target = _normalize_ids(table, triple, DEFAULT_NODE_BUDGET)
+        target = _sweep_normalize_ids(table, triple, DEFAULT_NODE_BUDGET)
         if d_val is not UNBOUNDED:
-            c = _alternating_count(mp, triple, target, 1, cap)
+            c = _alternating_count(pairs, g, triple, target, 1, cap)
             if c is None:
                 d_val, d_wit = UNBOUNDED, triple
             elif c > d_val:
                 d_val, d_wit = c, triple
         if p_val is not UNBOUNDED:
-            c = _alternating_count(mp, triple, target, 0, cap)
+            c = _alternating_count(pairs, g, triple, target, 0, cap)
             if c is None:
                 p_val, p_wit = UNBOUNDED, triple
             elif c > p_val:
@@ -803,7 +864,7 @@ def unit_condition_failures(table: NormTable, max_len: int = 4) -> list[str]:
     for x in range(g):
         want = (u, x)
         for key in ((x, u), (u, x)):
-            got = table._map[key]
+            got = table._pairs[key[0] * g + key[1]]
             if got != want:
                 fails.append(
                     f"entries({syms[key[0]]} {syms[key[1]]}) = "
@@ -873,7 +934,7 @@ def max_derivation_length(
     start = _resolve_table_word(table, w)
     if len(start) < 2:
         return 0
-    mp = table._map
+    pairs, g = table._pairs, len(table.alphabet)
     best_of: dict[tuple[int, ...], int] = {}
     on_stack: set[tuple[int, ...]] = set()
     # frame: [word, successor list, next successor index, best length so far]
@@ -885,7 +946,7 @@ def max_derivation_length(
                 f"derivation search exceeded the node budget of {node_budget}"
             )
         on_stack.add(t)
-        frames.append([t, _successors(mp, t), 0, 0])
+        frames.append([t, _successors(pairs, g, t), 0, 0])
 
     push(start)
     while frames:

@@ -40,6 +40,8 @@ from .core import (
     SweepBudgetExhausted,
     Symbol,
     Word,
+    _is_normal_ids,
+    _sweep,
 )
 
 
@@ -51,7 +53,7 @@ class MealyMachine:
     and letter id; both are total.
     """
 
-    __slots__ = ("states", "alphabet", "_next", "_out")
+    __slots__ = ("states", "alphabet", "_next", "_out", "_sweep_pairs")
 
     def __init__(
         self,
@@ -75,6 +77,14 @@ class MealyMachine:
                 raise GarnormError("output table is not total over the alphabet")
         self._next = nxt
         self._out = out
+        # When the states are the letters, (state x, letter y) -> (output,
+        # next state) is a pair table in the flat encoding of NormTable, and
+        # a run from w[0] over w[1:] is one sweep of it.
+        self._sweep_pairs = (
+            tuple(pair for o, n in zip(out, nxt) for pair in zip(o, n))
+            if states == alphabet
+            else None
+        )
 
     def state(self, name: str | Symbol) -> Symbol:
         if isinstance(name, Symbol):
@@ -165,12 +175,12 @@ def build_mealy(table: NormTable) -> MealyMachine:
     table.require_idempotent()
     al = table.alphabet
     g = len(al)
-    mp = table._map
+    pairs = table._pairs
     nxt = [[0] * g for _ in range(g)]
     out = [[0] * g for _ in range(g)]
     for q in range(g):
         for i in range(g):
-            c, d = mp[i, q]
+            c, d = pairs[i * g + q]
             nxt[q][i] = c
             out[q][i] = d
     return MealyMachine(al, al, nxt, out)
@@ -182,12 +192,12 @@ def build_thurston(table: NormTable) -> MealyMachine:
     table.require_idempotent()
     al = table.alphabet
     g = len(al)
-    mp = table._map
+    pairs = table._pairs
     nxt = [[0] * g for _ in range(g)]
     out = [[0] * g for _ in range(g)]
     for x in range(g):
         for y in range(g):
-            c, d = mp[x, y]
+            c, d = pairs[x * g + y]
             nxt[x][y] = d
             out[x][y] = c
     return MealyMachine(al, al, nxt, out)
@@ -407,42 +417,31 @@ def padding_normal_form(m: MealyMachine, unit: Symbol | str, u: Word, n: int) ->
     return run_word(m, u, padded).reverse()
 
 
-def _machine_pair_fixed(t: MealyMachine, x: int, y: int) -> bool:
-    return t._out[x][y] == x and t._next[x][y] == y
-
-
 def thurston_normalize(t: MealyMachine, w: Word, max_sweeps: int | None = None) -> Word:
     """Normalise by iterated sweeps of the sweeping transducer.
 
     One sweep starts in state w[0], feeds w[1:], and replaces the word by
     the outputs followed by the arrival state; sweeps repeat until every
-    adjacent pair is fixed.  The default sweep budget is |w|**2.
+    adjacent pair is fixed, which is when a sweep changes nothing.  The
+    default sweep budget is |w|**2.
     """
-    if t.states.names() != t.alphabet.names():
+    pairs = t._sweep_pairs
+    if pairs is None:
         raise GarnormError("sweeping requires a machine whose states are its letters")
     if len(w) == 0:
         raise GarnormError("cannot normalise the empty word")
-    ids = _resolve_letters(t, w)
-    n = len(ids)
+    ids = list(_resolve_letters(t, w))
+    budget = len(ids) ** 2 if max_sweeps is None else max_sweeps
+    g = len(t.alphabet)
     syms = t.alphabet.symbols
-    if n == 1:
-        return Word(syms[i] for i in ids)
-    budget = n * n if max_sweeps is None else max_sweeps
-    nxt, out = t._next, t._out
-    sweeps = 0
-    while not all(_machine_pair_fixed(t, ids[i], ids[i + 1]) for i in range(n - 1)):
-        if sweeps >= budget:
+    for _ in range(budget):
+        if not _sweep(pairs, g, ids):
+            break
+    else:
+        if not _is_normal_ids(pairs, g, ids):
             raise SweepBudgetExhausted(
                 f"word '{Word(syms[i] for i in ids)}' not normal after {budget} sweeps"
             )
-        state = ids[0]
-        acc = []
-        for y in ids[1:]:
-            acc.append(out[state][y])
-            state = nxt[state][y]
-        acc.append(state)
-        ids = tuple(acc)
-        sweeps += 1
     return Word(syms[i] for i in ids)
 
 

@@ -1,0 +1,133 @@
+"""Letter insertion against repeated sweeps.
+
+``normalize`` builds normal forms by inserting letters one at a time when
+the table satisfies ``condition_home`` (class (4,3)), and by repeated
+sweeps with an exhaustive fallback otherwise.  The sweep path is the
+oracle here: on every qualifying table the two must agree on every word of
+length <= 6.  Tables outside the condition must keep the sweep path and
+its errors.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from garnorm import (
+    Alphabet,
+    MealyMachine,
+    NormTable,
+    NotConfluent,
+    NotIdempotent,
+    NotNormalising,
+    SweepBudgetExhausted,
+    breadth,
+    gallery,
+    normalize,
+    thurston_normalize,
+)
+from garnorm.core import DEFAULT_NODE_BUDGET, _insert_ids, _sweep_normalize_ids
+from helpers import all_words, brute_normal_forms
+from test_core import cycling_fork_table, fork_table, swap_table
+
+HOME_GALLERY = ("bs10", "bs32", "plactic2", "malcev", "braid3", "finite:Z/2", "finite:Z/3")
+
+
+def assert_insertion_matches_sweeps(table: NormTable, max_len: int) -> None:
+    g = len(table.alphabet)
+    for n in range(1, max_len + 1):
+        for ids in itertools.product(range(g), repeat=n):
+            want = _sweep_normalize_ids(table, ids, DEFAULT_NODE_BUDGET)
+            assert _insert_ids(table._pairs, g, ids) == want, ids
+
+
+def random_idempotent_table(rng: random.Random, g: int) -> NormTable:
+    """Each pair is fixed with a probability drawn per table; every other
+    pair maps to a fixed pair, so the table is idempotent by construction."""
+    names = "abcd"[:g]
+    pairs = list(itertools.product(range(g), repeat=2))
+    p_fixed = rng.choice((0.5, 0.7))
+    fixed = [p for p in pairs if rng.random() < p_fixed] or [pairs[0]]
+    rules = []
+    for a, b in pairs:
+        if (a, b) not in fixed:
+            c, d = rng.choice(fixed)
+            rules.append(((names[a], names[b]), (names[c], names[d])))
+    return NormTable(Alphabet(names), rules)
+
+
+@pytest.mark.parametrize("name", HOME_GALLERY)
+def test_insertion_matches_sweeps_on_home_gallery_tables(name):
+    table = gallery(name).table
+    assert table._incremental()
+    assert_insertion_matches_sweeps(table, 6)
+
+
+def test_insertion_matches_sweeps_on_random_home_tables():
+    # Most random tables that pass the gate move at most one pair, so only
+    # those moving two or more pairs to distinct images are kept.
+    kept = {2: 0, 3: 0, 4: 0}
+    for g in kept:
+        for seed in range(1000 if g > 2 else 100):
+            table = random_idempotent_table(random.Random(1000 * g + seed), g)
+            images = {image for _, image in table.rules()}
+            if len(images) >= 2 and table._incremental():
+                assert_insertion_matches_sweeps(table, 6)
+                kept[g] += 1
+    assert kept == {2: 13, 3: 34, 4: 14}
+
+
+def test_gate_is_lazy_and_outside_equality():
+    source = gallery("malcev").table
+    copy = NormTable(
+        source.alphabet,
+        [((a.name, b.name), (c.name, d.name)) for (a, b), (c, d) in source.rules()],
+        unit=source.unit.name,
+    )
+    assert copy._home is None
+    normalize(copy, copy.alphabet.word("a b"))
+    assert copy._home is True
+    fresh = NormTable(copy.alphabet, copy.rules(), unit=copy.unit)
+    assert fresh._home is None
+    assert copy == fresh and hash(copy) == hash(fresh)
+
+
+def test_gate_false_outside_the_condition():
+    bicyclic = gallery("bicyclic").table
+    assert breadth(bicyclic).p == 4
+    assert not bicyclic._incremental()
+    # bicyclic keeps the sweep path, which reaches the unique normal form
+    for w in all_words(bicyclic.alphabet, 5):
+        assert {normalize(bicyclic, w)} == brute_normal_forms(bicyclic, w)
+
+    fork = fork_table()
+    assert not fork._incremental()
+    w = fork.alphabet.word("a a a")
+    assert str(normalize(fork, w)) == "b c a"
+
+    cycling = cycling_fork_table()
+    assert not cycling._incremental()
+    with pytest.raises(NotIdempotent):
+        breadth(cycling)
+    with pytest.raises(NotConfluent):
+        normalize(cycling, cycling.alphabet.word("b c a a"))
+
+    swap = swap_table()
+    assert not swap._incremental()
+    with pytest.raises(NotIdempotent):
+        breadth(swap)
+    with pytest.raises(NotNormalising):
+        normalize(swap, swap.alphabet.word("a b"))
+
+
+def test_a_sweep_that_moves_only_right_letters_is_no_fixpoint():
+    # (a a) -> (a b) -> (a a): not idempotent, and both rules keep the left
+    # letter, so only the right letter shows that a sweep moved anything
+    al = Alphabet(("a", "b"))
+    t = NormTable(al, [(("a", "a"), ("a", "b")), (("a", "b"), ("a", "a"))])
+    assert not t._incremental()
+    with pytest.raises(NotNormalising):
+        normalize(t, al.word("a a"))
+    th = MealyMachine(al, al, [[1, 0], [0, 1]], [[0, 0], [1, 1]])
+    with pytest.raises(SweepBudgetExhausted):
+        thurston_normalize(th, al.word("a a"), max_sweeps=3)
