@@ -25,9 +25,10 @@ and ``emit(parse(text))`` is the canonical reformatting of ``text``.
 
 Reports are key trees rendered either as ``path = value`` lines in
 deterministic tree order or as JSON (``--json``).  Exit codes: 0 success
-or predicate true, 1 predicate false, 2 input or format error, 3 search
-budget exhausted.  The ``GARNORM_BUDGET`` environment variable overrides
-the default budgets.
+or predicate true, 1 predicate false, 2 input or format error (a word
+reaching two distinct normal words included), 3 search budget exhausted
+or no normal word reachable.  The ``GARNORM_BUDGET`` environment
+variable overrides the default budgets.
 Words on the command line are space-separated symbol names in a single
 argument; over single-character alphabets an unspaced word like ``110`` is
 also understood, and ``--compact`` forces that reading.
@@ -47,7 +48,6 @@ from .core import (
     DEFAULT_NODE_BUDGET,
     GarnormError,
     NormTable,
-    NotConfluent,
     ParseError,
     Word,
 )
@@ -147,6 +147,7 @@ def parse_machine(text: str) -> MealyMachine:
                 states = Alphabet(rest)
             except GarnormError as exc:
                 raise ParseError(lineno, str(exc)) from None
+            states_line = lineno
         elif head == "alphabet":
             if alphabet is not None:
                 raise ParseError(lineno, "duplicate alphabet line")
@@ -184,7 +185,7 @@ def parse_machine(text: str) -> MealyMachine:
     for q in states.names():
         for i in alphabet.names():
             if (q, i) not in trans:
-                raise ParseError(1, f"missing transition for ({q} {i})")
+                raise ParseError(states_line, f"missing transition for ({q} {i})")
     nxt = [[states[trans[q, i][0]].id for i in alphabet.names()] for q in states.names()]
     out = [[alphabet[trans[q, i][1]].id for i in alphabet.names()] for q in states.names()]
     return MealyMachine(states, alphabet, nxt, out)
@@ -708,9 +709,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except NotConfluent as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except core.NotNormalising as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

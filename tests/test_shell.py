@@ -15,6 +15,7 @@ from garnorm.shell import (
     parse_presentation,
     parse_table,
 )
+from test_core import cycling_fork_table
 
 BS10_PRESENTATION = """\
 # the right-cancellative monoid with one absorbing relation
@@ -124,6 +125,12 @@ def test_machine_missing_transition():
     assert "missing transition" in str(err.value)
 
 
+def test_machine_missing_transition_is_reported_at_the_states_line():
+    with pytest.raises(ParseError) as err:
+        parse_machine("# two states\nstates s t\nalphabet x\ntrans s x -> t x\n")
+    assert err.value.line == 2
+
+
 def test_presentation_duplicate_family_name():
     text = "atoms a\nfamily 1 = EPS\nfamily 1 = a\n"
     with pytest.raises(ParseError) as err:
@@ -225,6 +232,14 @@ def test_cli_normalize(capsys):
     code, out, _ = run_cli(capsys, "normalize", "gallery:bicyclic", "a a b")
     assert code == 0
     assert "normal = 11a" in out
+
+
+def test_cli_normalize_not_confluent_exits_2(tmp_path, capsys):
+    table = tmp_path / "cycling_fork.table"
+    table.write_text(emit_table(cycling_fork_table()))
+    code, _, err = run_cli(capsys, "normalize", str(table), "b c a a")
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_cli_normalize_compact_flag_disambiguates(capsys):
