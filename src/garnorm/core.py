@@ -109,6 +109,11 @@ class SweepBudgetExhausted(BudgetExhausted):
     """Iterated sweeps did not reach a normal word within the sweep budget."""
 
 
+class NormalWordBudgetExhausted(NotNormalising, BudgetExhausted):
+    """The search for a reachable normal word hit its node budget without
+    finding one, so whether one exists is unknown."""
+
+
 class UnknownName(GarnormError):
     """No gallery entry with this name."""
 
@@ -236,10 +241,12 @@ class Alphabet:
         bad = next(tok for tok in tokens if tok not in self._by_name)
         raise AlphabetError(f"unknown symbol {bad!r}")
 
-    def resolve(self, w: "Word") -> "Word":
-        """Re-intern a word of this alphabet's names into this alphabet."""
+    def ids(self, w: Iterable[Symbol]) -> tuple[int, ...]:
+        """The ids in this alphabet of the letters of ``w``, matched by name,
+        so a word over any alphabet with these names is accepted."""
+        by_name = self._by_name
         try:
-            return Word(self._by_name[s.name] for s in w)
+            return tuple(by_name[s.name].id for s in w)
         except KeyError as exc:
             raise LetterNotInAlphabet(f"letter {exc.args[0]!r} not in alphabet") from None
 
@@ -523,17 +530,15 @@ def _sweep_normalize_ids(
         seen.add(t)
     # Sweeps cycle: fall back to exhaustive search from the original word.
     normals, budget_hit = _reachable_normals(table, ids, node_budget)
+    al = table.alphabet
     if len(normals) >= 2:
-        syms = table.alphabet.symbols
         raise NotConfluent(
-            Word(syms[i] for i in ids),
-            Word(syms[i] for i in normals[0]),
-            Word(syms[i] for i in normals[1]),
+            _word_from_ids(al, ids), _word_from_ids(al, normals[0]), _word_from_ids(al, normals[1])
         )
     if not normals:
-        word = " ".join(table.alphabet.symbols[i].name for i in ids)
+        word = _word_from_ids(al, ids)
         if budget_hit:
-            raise NotNormalising(
+            raise NormalWordBudgetExhausted(
                 f"no normal word reachable from '{word}' within {node_budget} nodes"
             )
         raise NotNormalising(f"no normal word is reachable from '{word}'")
@@ -550,31 +555,23 @@ def _normalize_ids(
     return _sweep_normalize_ids(table, ids, node_budget)
 
 
-def _resolve_table_word(table: NormTable, w: Word) -> tuple[int, ...]:
-    by_name = table.alphabet._by_name
-    try:
-        return tuple(by_name[s.name].id for s in w)
-    except KeyError as exc:
-        raise LetterNotInAlphabet(f"letter {exc.args[0]!r} not in alphabet") from None
-
-
-def _word_from_ids(table: NormTable, ids: Iterable[int]) -> Word:
-    syms = table.alphabet.symbols
+def _word_from_ids(alphabet: Alphabet, ids: Iterable[int]) -> Word:
+    syms = alphabet.symbols
     return Word(syms[i] for i in ids)
 
 
 def nbar_apply(table: NormTable, w: Word, i: int) -> Word:
     """Apply the table to the letters at positions i and i+1 (1-based)."""
-    ids = _resolve_table_word(table, w)
+    ids = table.alphabet.ids(w)
     if not 1 <= i <= len(ids) - 1:
         raise PositionOutOfRange(f"position {i} out of range for a word of length {len(ids)}")
     c, d = table._pairs[ids[i - 1] * len(table.alphabet) + ids[i]]
-    return _word_from_ids(table, ids[: i - 1] + (c, d) + ids[i + 1 :])
+    return _word_from_ids(table.alphabet, ids[: i - 1] + (c, d) + ids[i + 1 :])
 
 
 def apply_sequence(table: NormTable, w: Word, positions: Iterable[int]) -> Word:
     """Left-to-right composition: the first listed position is applied first."""
-    ids = _resolve_table_word(table, w)
+    ids = table.alphabet.ids(w)
     n = len(ids)
     pairs, g = table._pairs, len(table.alphabet)
     for i in positions:
@@ -582,12 +579,12 @@ def apply_sequence(table: NormTable, w: Word, positions: Iterable[int]) -> Word:
             raise PositionOutOfRange(f"position {i} out of range for a word of length {n}")
         c, d = pairs[ids[i - 1] * g + ids[i]]
         ids = ids[: i - 1] + (c, d) + ids[i + 1 :]
-    return _word_from_ids(table, ids)
+    return _word_from_ids(table.alphabet, ids)
 
 
 def is_normal(table: NormTable, w: Word) -> bool:
     """True iff every adjacent pair of the word is fixed by the table."""
-    return _is_normal_ids(table._pairs, len(table.alphabet), _resolve_table_word(table, w))
+    return _is_normal_ids(table._pairs, len(table.alphabet), table.alphabet.ids(w))
 
 
 def normalize(table: NormTable, w: Word, node_budget: int = DEFAULT_NODE_BUDGET) -> Word:
@@ -606,12 +603,15 @@ def normalize(table: NormTable, w: Word, node_budget: int = DEFAULT_NODE_BUDGET)
     capped at |w|**2 + |w| sweeps; if the sweeps cycle, an exhaustive
     breadth-first search of the rewrite graph takes over (up to
     ``node_budget`` nodes).  Raises :class:`NotNormalising` when no normal
-    word is reachable and :class:`NotConfluent` when two distinct ones are.
+    word is reachable, :class:`NormalWordBudgetExhausted` (a subclass of
+    both it and :class:`BudgetExhausted`) when the search stopped at the
+    budget before finding one, and :class:`NotConfluent` when two distinct
+    ones are.
     """
     if len(w) == 0:
         raise GarnormError("cannot normalise the empty word")
-    ids = _resolve_table_word(table, w)
-    return _word_from_ids(table, _normalize_ids(table, ids, node_budget))
+    ids = table.alphabet.ids(w)
+    return _word_from_ids(table.alphabet, _normalize_ids(table, ids, node_budget))
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +706,7 @@ def verify_normalisation(table: NormTable, max_len: int = 5) -> NormalisationRep
 
     g = len(table.alphabet)
     pairs = table._pairs
-    word = lambda ids: _word_from_ids(table, ids)
+    word = lambda ids: _word_from_ids(table.alphabet, ids)
 
     normals = [(a,) for a in range(g)]
     for n in range(2, max_len + 1):
@@ -818,8 +818,8 @@ def breadth(table: NormTable, cap: int = 64) -> Breadth:
     return Breadth(
         d=d_val,
         p=p_val,
-        d_witness=_word_from_ids(table, d_wit),
-        p_witness=_word_from_ids(table, p_wit),
+        d_witness=_word_from_ids(table.alphabet, d_wit),
+        p_witness=_word_from_ids(table.alphabet, p_wit),
         warning=warning,
     )
 
@@ -875,16 +875,16 @@ def unit_condition_failures(table: NormTable, max_len: int = 4) -> list[str]:
             want = (u,) + nf
             left = _normalize_ids(table, (u,) + ids, budget)
             right = _normalize_ids(table, ids + (u,), budget)
-            w = _word_from_ids(table, ids)
+            w = _word_from_ids(table.alphabet, ids)
             if left != want:
                 fails.append(
-                    f"normalize(1 {w}) = {_word_from_ids(table, left)}, "
-                    f"expected {_word_from_ids(table, want)}"
+                    f"normalize(1 {w}) = {_word_from_ids(table.alphabet, left)}, "
+                    f"expected {_word_from_ids(table.alphabet, want)}"
                 )
             if right != want:
                 fails.append(
-                    f"normalize({w} 1) = {_word_from_ids(table, right)}, "
-                    f"expected {_word_from_ids(table, want)}"
+                    f"normalize({w} 1) = {_word_from_ids(table.alphabet, right)}, "
+                    f"expected {_word_from_ids(table.alphabet, want)}"
                 )
     return fails
 
@@ -929,7 +929,7 @@ def max_derivation_length(
     rewrite cycle is found and :class:`BudgetExhausted` past the node
     budget.
     """
-    start = _resolve_table_word(table, w)
+    start = table.alphabet.ids(w)
     if len(start) < 2:
         return 0
     pairs, g = table._pairs, len(table.alphabet)
@@ -958,7 +958,7 @@ def max_derivation_length(
                     frame[3] = 1 + best_of[child]
             elif child in on_stack:
                 raise NotTerminating(
-                    f"rewrite cycle through '{_word_from_ids(table, child)}': "
+                    f"rewrite cycle through '{_word_from_ids(table.alphabet, child)}': "
                     "derivation lengths are unbounded"
                 )
             else:

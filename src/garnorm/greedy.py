@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .core import (
@@ -31,6 +31,7 @@ from .core import (
     NormTable,
     Symbol,
     Word,
+    _word_from_ids,
 )
 
 
@@ -47,11 +48,12 @@ class PresentedMonoid:
     def __post_init__(self):
         if self.search_budget <= 0:
             raise GarnormError("search budget must be positive")
+        word = lambda w: _word_from_ids(self.atoms, self.atoms.ids(w))
         resolved = []
         for lhs, rhs in self.relations:
             if len(lhs) == 0 or len(rhs) == 0:
                 raise GarnormError("relation sides must be non-empty")
-            resolved.append((self.atoms.resolve(lhs), self.atoms.resolve(rhs)))
+            resolved.append((word(lhs), word(rhs)))
         object.__setattr__(self, "relations", tuple(resolved))
 
 
@@ -186,26 +188,35 @@ def bounded_equal(monoid: PresentedMonoid, u: Word, v: Word) -> bool:
     :class:`BudgetExhausted` when the budget runs out (the answer is then
     unknown, never reported as False).
     """
-    su = monoid.atoms.resolve(u).ids()
-    sv = monoid.atoms.resolve(v).ids()
-    return _search_for(monoid).equal(su, sv)
+    return _search_for(monoid).equal(monoid.atoms.ids(u), monoid.atoms.ids(v))
 
 
 # ---------------------------------------------------------------------------
 # divisibility and the greedy table
 
 
+def _factorisations(
+    search: _Search, e: tuple[int, ...], reps: list[tuple[int, ...]], maxlen: int
+) -> list[tuple[int, int]]:
+    """Index pairs (c, d), in lexicographic order, with reps[c] reps[d]
+    equal to ``e`` within the window max(|e|, 2 * maxlen) + slack;
+    ``maxlen`` is the length of the longest rep."""
+    cls = search.class_of(e, max(len(e), 2 * maxlen) + search.monoid.length_slack)
+    return [
+        (c, d)
+        for c in range(len(reps))
+        for d in range(len(reps))
+        if reps[c] + reps[d] in cls
+    ]
+
+
 def right_divisors(monoid: PresentedMonoid, e: Word, family) -> set[FamilyElement]:
     """Family elements d such that e = c * d for some family element c."""
-    search = _search_for(monoid)
-    eids = monoid.atoms.resolve(e).ids()
-    reps = {f: f.rep.ids() for f in family}
-    maxlen = max((len(r) for r in reps.values()), default=0)
-    window = max(len(eids), 2 * maxlen) + monoid.length_slack
-    cls = search.class_of(eids, window)
-    return {
-        d for d in family if any(reps[c] + reps[d] in cls for c in family)
-    }
+    family = tuple(family)
+    reps = [f.rep.ids() for f in family]
+    maxlen = max((len(r) for r in reps), default=0)
+    pairs = _factorisations(_search_for(monoid), monoid.atoms.ids(e), reps, maxlen)
+    return {family[d] for _, d in pairs}
 
 
 def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
@@ -232,21 +243,13 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
     search = _search_for(monoid)
     reps = [f.rep.ids() for f in family]
     maxlen = max(len(r) for r in reps)
-    slack = monoid.length_slack
 
     def divides(i: int, j: int) -> bool:
         return search.divides(reps[i], reps[j])
 
     rules = []
     for xi, yi in itertools.product(range(len(family)), repeat=2):
-        e = reps[xi] + reps[yi]
-        cls = search.class_of(e, max(len(e), 2 * maxlen) + slack)
-        candidates = [
-            (ci, di)
-            for ci in range(len(family))
-            for di in range(len(family))
-            if reps[ci] + reps[di] in cls
-        ]
+        candidates = _factorisations(search, reps[xi] + reps[yi], reps, maxlen)
         if not candidates:
             raise NoFactorisation(
                 f"{family[xi].name} {family[yi].name} has no factorisation "
@@ -298,14 +301,9 @@ class FamilyClosureReport:
     no family element, minimal common left-multiples likewise, and notes
     for verdicts the budget could not settle."""
 
-    missing_left_divisors: list = None
-    missing_left_mcms: list = None
-    unknown: list = None
-
-    def __post_init__(self):
-        for name in ("missing_left_divisors", "missing_left_mcms", "unknown"):
-            if getattr(self, name) is None:
-                setattr(self, name, [])
+    missing_left_divisors: list = field(default_factory=list)
+    missing_left_mcms: list = field(default_factory=list)
+    unknown: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -328,9 +326,6 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
     window = 2 * maxlen + monoid.length_slack
     atoms = monoid.atoms
 
-    def word_of(ids):
-        return Word(atoms.symbols[i] for i in ids)
-
     def in_family(ids) -> bool:
         return any(ids in search.class_of(r, max(len(ids), len(r)) + monoid.length_slack)
                    for r in reps.values())
@@ -352,10 +347,10 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
                 if any(p in cl for cl in reported):
                     continue
                 reported.append(pcls)
-                report.missing_left_divisors.append((f, word_of(p)))
+                report.missing_left_divisors.append((f, _word_from_ids(atoms, p)))
             except BudgetExhausted:
                 report.unknown.append(
-                    f"left divisor '{word_of(p)}' of {f.name}: budget exhausted"
+                    f"left divisor '{_word_from_ids(atoms, p)}' of {f.name}: budget exhausted"
                 )
 
     # left-mcms: minimal common left-multiples among short atom words
@@ -388,7 +383,7 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
                 if any(m in cl for cl in reported_m):
                     continue
                 reported_m.append(mcls)
-                report.missing_left_mcms.append((f, g, word_of(m)))
+                report.missing_left_mcms.append((f, g, _word_from_ids(atoms, m)))
         except BudgetExhausted:
             report.unknown.append(
                 f"left-mcm of {f.name} and {g.name}: budget exhausted"

@@ -42,6 +42,7 @@ from .core import (
     Word,
     _is_normal_ids,
     _sweep,
+    _word_from_ids,
 )
 
 
@@ -216,22 +217,6 @@ def dual(m: MealyMachine) -> MealyMachine:
 # running
 
 
-def _resolve_letters(m: MealyMachine, w: Word) -> tuple[int, ...]:
-    by_name = m.alphabet._by_name
-    try:
-        return tuple(by_name[s.name].id for s in w)
-    except KeyError as exc:
-        raise LetterNotInAlphabet(f"letter {exc.args[0]!r} not in alphabet") from None
-
-
-def _resolve_states(m: MealyMachine, u: Word) -> tuple[int, ...]:
-    by_name = m.states._by_name
-    try:
-        return tuple(by_name[s.name].id for s in u)
-    except KeyError as exc:
-        raise LetterNotInAlphabet(f"unknown state {exc.args[0]!r}") from None
-
-
 def _run_ids(m: MealyMachine, q: int, ids: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     nxt, out = m._next, m._out
     res = []
@@ -244,24 +229,22 @@ def _run_ids(m: MealyMachine, q: int, ids: tuple[int, ...]) -> tuple[tuple[int, 
 def run(m: MealyMachine, x: Symbol | str, w: Word) -> tuple[Word, Symbol]:
     """Feed ``w`` from state ``x``; the output word and the arrival state.
     The empty word maps to itself."""
-    q = m.state(x).id
-    ids = _resolve_letters(m, w)
-    res, final = _run_ids(m, q, ids)
-    syms = m.alphabet.symbols
-    return Word(syms[i] for i in res), m.states.symbols[final]
+    res, final = _run_ids(m, m.state(x).id, m.alphabet.ids(w))
+    return _word_from_ids(m.alphabet, res), m.states.symbols[final]
+
+
+def _run_word_ids(m: MealyMachine, u: Word, ids: tuple[int, ...]) -> tuple[int, ...]:
+    if len(u) == 0:
+        raise GarnormError("the state word must be non-empty")
+    for q in m.states.ids(u):
+        ids, _ = _run_ids(m, q, ids)
+    return ids
 
 
 def run_word(m: MealyMachine, u: Word, w: Word) -> Word:
     """Composite production function of the state word ``u``; the first
     letter of ``u`` acts first."""
-    if len(u) == 0:
-        raise GarnormError("the state word must be non-empty")
-    states = _resolve_states(m, u)
-    ids = _resolve_letters(m, w)
-    for q in states:
-        ids, _ = _run_ids(m, q, ids)
-    syms = m.alphabet.symbols
-    return Word(syms[i] for i in ids)
+    return _word_from_ids(m.alphabet, _run_word_ids(m, u, m.alphabet.ids(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +272,8 @@ def distinguishing_word(m: MealyMachine, u: Word, v: Word) -> Word | None:
     consistent successor pair.  The reachable pair set is finite, so the
     search terminates.
     """
-    su = _resolve_states(m, u)
-    sv = _resolve_states(m, v)
+    su = m.states.ids(u)
+    sv = m.states.ids(v)
     if not su or not sv:
         raise GarnormError("state words must be non-empty")
     start = (su, sv)
@@ -298,7 +281,6 @@ def distinguishing_word(m: MealyMachine, u: Word, v: Word) -> Word | None:
     parent: dict = {}
     queue = deque([start])
     s = len(m.alphabet)
-    syms = m.alphabet.symbols
     while queue:
         cur = queue.popleft()
         a, b = cur
@@ -312,7 +294,7 @@ def distinguishing_word(m: MealyMachine, u: Word, v: Word) -> Word | None:
                     p, jj = parent[p]
                     letters.append(jj)
                 letters.reverse()
-                return Word(syms[i] for i in letters)
+                return _word_from_ids(m.alphabet, letters)
             child = (na, nb)
             if child not in seen:
                 seen.add(child)
@@ -351,27 +333,15 @@ def _refine(initial_keys: list, next_rows: list) -> list[int]:
         cls = new
 
 
-def minimize(m: MealyMachine) -> ActionClassPartition:
-    """Group states with identical induced word functions.
-
-    Initial classes come from the output rows; refinement by next-state
-    class rows runs to a fixed point.  A distinguishing input for states
-    in different classes can be obtained from :func:`distinguishing_word`.
-    """
-    q = len(m.states)
-    cls = _refine([m._out[x] for x in range(q)], [m._next[x] for x in range(q)])
-    return ActionClassPartition({m.states.symbols[x]: cls[x] for x in range(q)})
-
-
-def tuple_action_classes(m: MealyMachine, length: int) -> dict[tuple[Symbol, ...], int]:
-    """Action-equality classes of all state words of exactly ``length``.
+def _action_class_ids(m: MealyMachine, length: int) -> list[int]:
+    """Action-equality class ids of the state words of exactly ``length``,
+    listed in ``itertools.product`` order and numbered in order of first
+    occurrence.
 
     The tuples of states form a product machine (letters thread through);
     partition refinement on it decides all action equalities at once, the
     same fixed point :func:`action_equal` computes pair by pair.
     """
-    if length < 1:
-        raise GarnormError("length must be at least 1")
     q, s = len(m.states), len(m.alphabet)
     tuples = list(itertools.product(range(q), repeat=length))
     index = {t: k for k, t in enumerate(tuples)}
@@ -386,17 +356,33 @@ def tuple_action_classes(m: MealyMachine, length: int) -> dict[tuple[Symbol, ...
             nrow.append(index[nt])
         out_rows.append(tuple(orow))
         next_rows.append(nrow)
-    cls = _refine(out_rows, next_rows)
-    syms = m.states.symbols
-    return {tuple(syms[x] for x in t): cls[k] for k, t in enumerate(tuples)}
+    return _refine(out_rows, next_rows)
+
+
+def minimize(m: MealyMachine) -> ActionClassPartition:
+    """Group states with identical induced word functions: the state words
+    of length 1 under :func:`tuple_action_classes`.
+
+    Initial classes come from the output rows; refinement by next-state
+    class rows runs to a fixed point.  A distinguishing input for states
+    in different classes can be obtained from :func:`distinguishing_word`.
+    """
+    return ActionClassPartition(dict(zip(m.states.symbols, _action_class_ids(m, 1))))
+
+
+def tuple_action_classes(m: MealyMachine, length: int) -> dict[tuple[Symbol, ...], int]:
+    """Action-equality classes of all state words of exactly ``length``,
+    keyed by state tuple."""
+    if length < 1:
+        raise GarnormError("length must be at least 1")
+    tuples = itertools.product(m.states.symbols, repeat=length)
+    return dict(zip(tuples, _action_class_ids(m, length)))
 
 
 def growth(m: MealyMachine, max_len: int = 5) -> list[int]:
     """Entry k: the number of action-equality classes of state words of
     length exactly k+1."""
-    return [
-        len(set(tuple_action_classes(m, k).values())) for k in range(1, max_len + 1)
-    ]
+    return [len(set(_action_class_ids(m, k))) for k in range(1, max_len + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +398,8 @@ def padding_normal_form(m: MealyMachine, unit: Symbol | str, u: Word, n: int) ->
     """
     if n < len(u):
         raise GarnormError(f"padding length {n} is shorter than the state word ({len(u)})")
-    unit_sym = m.letter(unit)
-    padded = Word([unit_sym] * n)
-    return run_word(m, u, padded).reverse()
+    ids = _run_word_ids(m, u, (m.letter(unit).id,) * n)
+    return _word_from_ids(m.alphabet, reversed(ids))
 
 
 def thurston_normalize(t: MealyMachine, w: Word, max_sweeps: int | None = None) -> Word:
@@ -430,19 +415,18 @@ def thurston_normalize(t: MealyMachine, w: Word, max_sweeps: int | None = None) 
         raise GarnormError("sweeping requires a machine whose states are its letters")
     if len(w) == 0:
         raise GarnormError("cannot normalise the empty word")
-    ids = list(_resolve_letters(t, w))
+    ids = list(t.alphabet.ids(w))
     budget = len(ids) ** 2 if max_sweeps is None else max_sweeps
     g = len(t.alphabet)
-    syms = t.alphabet.symbols
     for _ in range(budget):
         if not _sweep(pairs, g, ids):
             break
     else:
         if not _is_normal_ids(pairs, g, ids):
             raise SweepBudgetExhausted(
-                f"word '{Word(syms[i] for i in ids)}' not normal after {budget} sweeps"
+                f"word '{_word_from_ids(t.alphabet, ids)}' not normal after {budget} sweeps"
             )
-    return Word(syms[i] for i in ids)
+    return _word_from_ids(t.alphabet, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +442,17 @@ def numeration_iterate(
     if steps < 1:
         raise GarnormError("steps must be at least 1")
     q = m.state(start).id
-    ids = _resolve_letters(m, w)
-    syms = m.alphabet.symbols
+    ids = m.alphabet.ids(w)
     state_syms = m.states.symbols
 
-    words = [Word(syms[i] for i in ids)]
+    words = [_word_from_ids(m.alphabet, ids)]
     collected = []
     seen = {ids: 0}
     cycle_start = period = None
     for k in range(1, steps + 1):
         ids, final = _run_ids(m, q, ids)
         collected.append(state_syms[final])
-        words.append(Word(syms[i] for i in ids))
+        words.append(_word_from_ids(m.alphabet, ids))
         if cycle_start is None:
             if ids in seen:
                 cycle_start = seen[ids]

@@ -8,6 +8,7 @@ from garnorm import (
     GarnormError,
     MissingUnit,
     NormTable,
+    NormalWordBudgetExhausted,
     NotConfluent,
     NotIdempotent,
     NotNormalising,
@@ -285,6 +286,18 @@ def test_normalize_not_normalising():
     t = swap_table()
     with pytest.raises(NotNormalising):
         normalize(t, t.alphabet.word("a b"))
+
+
+def test_normalize_not_normalising_is_a_budget_error_only_when_cut_short():
+    t = swap_table()
+    w = t.alphabet.word("a b")
+    with pytest.raises(NotNormalising) as complete:
+        normalize(t, w)
+    assert not isinstance(complete.value, BudgetExhausted)
+    with pytest.raises(NormalWordBudgetExhausted) as cut:
+        normalize(t, w, node_budget=1)
+    assert isinstance(cut.value, NotNormalising)
+    assert isinstance(cut.value, BudgetExhausted)
 
 
 def test_normalize_sweeps_pick_one_branch_of_a_fork():

@@ -368,12 +368,21 @@ def test_cli_table_command_on_machine_entry_exit_2(capsys):
     assert "has no table" in err
 
 
-def test_cli_not_normalising_exit_3(tmp_path, capsys):
+def test_cli_not_normalising_exit_2(tmp_path, capsys):
     cyclic = tmp_path / "cyclic.table"
     cyclic.write_text("alphabet a b\nrule a b -> b a\nrule b a -> a b\n")
     code, _, err = run_cli(capsys, "normalize", str(cyclic), "a b")
-    assert code == 3
+    assert code == 2
     assert "no normal word" in err
+
+
+def test_cli_normal_word_search_out_of_budget_exit_3(tmp_path, capsys, monkeypatch):
+    cyclic = tmp_path / "cyclic.table"
+    cyclic.write_text("alphabet a b\nrule a b -> b a\nrule b a -> a b\n")
+    monkeypatch.setenv("GARNORM_BUDGET", "1")
+    code, _, err = run_cli(capsys, "normalize", str(cyclic), "a b")
+    assert code == 3
+    assert "within 1 nodes" in err
 
 
 def test_cli_unknown_gallery_name_exit_2(capsys):
