@@ -621,7 +621,8 @@ def normalize(table: NormTable, w: Word, node_budget: int = DEFAULT_NODE_BUDGET)
 @dataclass
 class NormalisationReport:
     """Witness lists from :func:`verify_normalisation`; empty means the
-    table behaved as a normalisation restriction at the checked scale."""
+    table behaved as a normalisation restriction at the checked scale, and
+    at every length when the table passes :func:`condition_home`."""
 
     max_len: int
     idempotence_failures: list = field(default_factory=list)
@@ -641,52 +642,73 @@ class NormalisationReport:
         )
 
 
-def _rewrite_analysis(table: NormTable, n: int, normals: list[tuple[int, ...]]):
-    """Classify every length-n word by its reachable normal words, given
-    ``normals``, the normal words of length n in lexicographic order.
+def _rewrite_analysis(table: NormTable, max_len: int):
+    """Classify every word of length 2..max_len by its reachable normal
+    words.
 
     Returns (confluence_failures, dead): the words reaching two distinct
-    normal forms (with the first two found), and the words reaching none,
-    both in lexicographic order.  Works backwards from the normal words, so
-    it is exact even when forward rewriting cycles, and it visits only the
-    words that reach some normal word; all g**n words are walked only when
-    some word is dead, to list the dead ones.
+    normal forms, as (word, least normal form, next normal form), and the
+    words reaching none, both in length-then-lexicographic order.  Works
+    backwards from the normal words, so it is exact even when forward
+    rewriting cycles.  A length-n word is coded as the integer
+    sum(w[i] * g**(n-1-i)), so numeric order is lexicographic order and
+    undoing a rewrite at position i adds (a*g + b - c*g - d) * g**(n-2-i)
+    for a rule (a, b) -> (c, d).  Each word records the indices of at most
+    two normal words in two flat lists of size g**n.
     """
     g = len(table.alphabet)
-    rev: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for k, image in enumerate(table._pairs):
-        source = divmod(k, g)
-        if image != source:
-            rev.setdefault(image, []).append(source)
+    gg = g * g
+    pairs = table._pairs
+    # back[c*g + d]: the steps k - (c*g + d) of the pair codes k rewritten to (c, d)
+    back: list[list[int]] = [[] for _ in range(gg)]
+    for k, (c, d) in enumerate(pairs):
+        if c * g + d != k:
+            back[c * g + d].append(k - c * g - d)
+    follow = [[b for b in range(g) if pairs[a * g + b] == (a, b)] for a in range(g)]
+    syms = table.alphabet.symbols
 
-    nfsets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for nf in normals:
-        nfsets[nf] = [nf]
-        stack = [nf]
-        while stack:
-            w = stack.pop()
-            for i in range(n - 1):
-                key = (w[i], w[i + 1])
-                if key not in rev:
-                    continue
-                for a, b in rev[key]:
-                    v = w[:i] + (a, b) + w[i + 2 :]
-                    s = nfsets.setdefault(v, [])
-                    if nf in s or len(s) >= 2:
-                        continue
-                    s.append(nf)
-                    stack.append(v)
-
-    # every key holds at least one normal form, so the keys are the live words
-    confl = sorted((w, s[0], s[1]) for w, s in nfsets.items() if len(s) == 2)
-    dead = []
-    if len(nfsets) < g**n:
-        dead = [w for w in itertools.product(range(g), repeat=n) if w not in nfsets]
+    confl, dead = [], []
+    normals = list(range(g))
+    for n in range(2, max_len + 1):
+        normals = [w * g + b for w in normals for b in follow[w % g]]
+        steps = []
+        for i in range(n - 1):
+            shift = g ** (n - 2 - i)
+            steps.append((shift, [[d * shift for d in ds] for ds in back]))
+        first = [-1] * g**n
+        second = [-1] * g**n
+        for j, nf in enumerate(normals):
+            first[nf] = j
+            stack = [nf]
+            while stack:
+                w = stack.pop()
+                for shift, moves in steps:
+                    for d in moves[w // shift % gg]:
+                        v = w + d
+                        f = first[v]
+                        if f < 0:
+                            first[v] = j
+                        elif f == j or second[v] >= 0:
+                            continue
+                        else:
+                            second[v] = j
+                        stack.append(v)
+        # a code is decoded as its high and its low half of letters
+        low = g ** (n // 2)
+        highs = list(itertools.product(syms, repeat=n - n // 2))
+        lows = list(itertools.product(syms, repeat=n // 2))
+        word = lambda code: Word(highs[code // low] + lows[code % low])
+        confl.extend(
+            (word(w), word(normals[first[w]]), word(normals[s]))
+            for w, s in enumerate(second)
+            if s >= 0
+        )
+        dead.extend(word(w) for w, f in enumerate(first) if f < 0)
     return confl, dead
 
 
 def verify_normalisation(table: NormTable, max_len: int = 5) -> NormalisationReport:
-    """Exhaustively check the normalisation axioms on words up to ``max_len``.
+    """Check the normalisation axioms on words up to ``max_len``.
 
     Checks pair idempotence and that every word of length 2..max_len
     reaches exactly one normal word.  The remaining axiom, that normalising
@@ -695,27 +717,40 @@ def verify_normalisation(table: NormTable, max_len: int = 5) -> NormalisationRep
     inside w, so when uwv reaches exactly one normal word, u N(w) v reaches
     that same word.  ``axiom_failures`` is therefore always empty.
 
-    The normal words of each length are built from those one letter
-    shorter, by appending each letter that forms a fixed pair with the
-    last one.
+    An idempotent table that passes :func:`condition_home` gets the empty
+    report without a search, and the report holds at every length, not
+    only up to ``max_len``:
+
+    - By Dehornoy and Guiraud ("Quadratic normalisation in monoids", IJAC
+      2016), an idempotent table F with F_2121 = F_121 on every
+      three-letter word is the restriction of a quadratic normalisation N
+      of class (4,3).  ``condition_home`` finds the alternating sequences
+      2121 and 121 both ending at the normal form of every three-letter
+      word, so that equality holds.
+    - A rewrite step replaces a factor ab with F(ab) = N(ab), and
+      N(u N(ab) v) = N(u ab v), so it keeps N(w) unchanged.  N is
+      quadratic, so the normal words are exactly those whose pairs are all
+      fixed, and a normal word z has N(z) = z.  A normal word reachable
+      from w is therefore N(w).
+    - In class (4,3), N(w x) is one right-to-left sweep of F over N(w) x,
+      as ``normalize`` uses, so by induction on the length N(w) is
+      obtained from w by applying F at finitely many positions; dropping
+      the applications that fix their pair leaves rewrite steps, so N(w)
+      is reachable from w.
+    - Therefore every word of every length reaches exactly one normal word.
+
+    Every other table is searched backwards from the normal words of each
+    length, which are built from those one letter shorter by appending each
+    letter that forms a fixed pair with the last one.
     """
     if max_len < 3:
         raise GarnormError("max_len must be at least 3")
     report = NormalisationReport(max_len=max_len)
     report.idempotence_failures = table.idempotence_failures()
+    if not report.idempotence_failures and table._incremental():
+        return report
 
-    g = len(table.alphabet)
-    pairs = table._pairs
-    word = lambda ids: _word_from_ids(table.alphabet, ids)
-
-    normals = [(a,) for a in range(g)]
-    for n in range(2, max_len + 1):
-        normals = [
-            w + (b,) for w in normals for b in range(g) if pairs[w[-1] * g + b] == (w[-1], b)
-        ]
-        confl, dead = _rewrite_analysis(table, n, normals)
-        report.not_confluent.extend((word(w), word(x), word(y)) for w, x, y in confl)
-        report.not_normalising.extend(word(w) for w in dead)
+    report.not_confluent, report.not_normalising = _rewrite_analysis(table, max_len)
     return report
 
 

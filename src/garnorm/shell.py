@@ -214,7 +214,15 @@ def parse_presentation(text: str, search_budget: int | None = None):
                 raise ParseError(lineno, "expected 'family <name> = <word|EPS>'")
             name, words = rest[0], rest[2:]
             _first_use(family_names, name, lineno, f"family name {name!r}")
+            try:
+                core._check_name(name)
+            except GarnormError as exc:
+                raise ParseError(lineno, str(exc)) from None
             if words == ["EPS"]:
+                if any(not rep for _, rep in family_entries):
+                    raise ParseError(
+                        lineno, "at most one family element may have an empty representative"
+                    )
                 rep_text = ""
             else:
                 for w in words:
@@ -228,10 +236,7 @@ def parse_presentation(text: str, search_budget: int | None = None):
         raise ParseError(1, "missing atoms line")
     budget = DEFAULT_NODE_BUDGET if search_budget is None else search_budget
     monoid = PresentedMonoid(atoms, tuple(relations), search_budget=budget)
-    try:
-        family = make_family(atoms, family_entries)
-    except GarnormError as exc:
-        raise ParseError(1, str(exc)) from None
+    family = make_family(atoms, family_entries)
     return monoid, family, family_unit(family)
 
 

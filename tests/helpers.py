@@ -116,3 +116,49 @@ def bulk_longest_derivations(table: NormTable, n: int, round_cap: int):
         if np.array_equal(lengths, prev):
             return int(lengths.max())
     return None
+
+
+def dict_rewrite_analysis(table: NormTable, max_len: int):
+    """Backward search from the normal words over words as tuples, with one
+    dict entry per live word and the reverse-rule map rebuilt per length.
+
+    Returns (confluence_failures, dead) as id tuples over lengths
+    2..max_len: the words reaching two distinct normal forms (with the two
+    found first, in lexicographic order) and the words reaching none.
+    """
+    g = len(table.alphabet)
+    pairs = table._pairs
+    confl_all, dead_all = [], []
+    normals = [(a,) for a in range(g)]
+    for n in range(2, max_len + 1):
+        normals = [
+            w + (b,) for w in normals for b in range(g) if pairs[w[-1] * g + b] == (w[-1], b)
+        ]
+        rev: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for k, image in enumerate(pairs):
+            source = divmod(k, g)
+            if image != source:
+                rev.setdefault(image, []).append(source)
+
+        nfsets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for nf in normals:
+            nfsets[nf] = [nf]
+            stack = [nf]
+            while stack:
+                w = stack.pop()
+                for i in range(n - 1):
+                    key = (w[i], w[i + 1])
+                    if key not in rev:
+                        continue
+                    for a, b in rev[key]:
+                        v = w[:i] + (a, b) + w[i + 2 :]
+                        s = nfsets.setdefault(v, [])
+                        if nf in s or len(s) >= 2:
+                            continue
+                        s.append(nf)
+                        stack.append(v)
+
+        confl_all += sorted((w, s[0], s[1]) for w, s in nfsets.items() if len(s) == 2)
+        if len(nfsets) < g**n:
+            dead_all += [w for w in itertools.product(range(g), repeat=n) if w not in nfsets]
+    return confl_all, dead_all

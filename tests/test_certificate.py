@@ -1,0 +1,98 @@
+"""The class (4,3) certificate and the dense backward search.
+
+``verify_normalisation`` returns the empty report without a search on
+idempotent tables that pass ``condition_home``, and runs the backward
+search ``_rewrite_analysis`` on integer word codes for every other table.
+The search must find nothing on the certified tables, and it must equal
+the dict-based search it replaced, kept in ``helpers`` as the oracle,
+witnesses and order included.
+"""
+
+import itertools
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from garnorm import Alphabet, NormTable, gallery_tables, verify_normalisation
+from garnorm.core import NormalisationReport, _rewrite_analysis, _word_from_ids
+from helpers import dict_rewrite_analysis
+from test_incremental import random_idempotent_table
+from test_verify import random_free_table
+
+#: Gallery tables searched to length 5 instead of 6: 8 and 9 letters.
+LARGE = ("bs32", "malcev")
+
+
+def test_backward_search_finds_nothing_on_gallery_tables():
+    for entry in gallery_tables():
+        max_len = 5 if entry.name in LARGE else 6
+        assert _rewrite_analysis(entry.table, max_len) == ([], []), entry.name
+
+
+def test_backward_search_finds_nothing_on_random_home_tables():
+    home = []
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        table = random_idempotent_table(rng, rng.choice((2, 3, 4)))
+        if table._incremental():
+            home.append(table)
+            if len(home) == 50:
+                break
+    assert len({len(t.alphabet) for t in home}) == 3
+    for table in home:
+        assert _rewrite_analysis(table, 5) == ([], [])
+
+
+def dict_oracle_words(table: NormTable, max_len: int):
+    """``helpers.dict_rewrite_analysis`` with its id tuples made words."""
+    word = lambda ids: _word_from_ids(table.alphabet, ids)
+    confl, dead = dict_rewrite_analysis(table, max_len)
+    return [(word(w), word(x), word(y)) for w, x, y in confl], [word(w) for w in dead]
+
+
+def test_dense_search_matches_dict_oracle():
+    seen = {"dead": 0, "not_confluent": 0}
+    for seed in range(240):
+        rng = random.Random(seed)
+        g = 2 + seed % 3
+        make = random_idempotent_table if seed % 2 else random_free_table
+        table = make(rng, g)
+        got = _rewrite_analysis(table, 5)
+        assert got == dict_oracle_words(table, 5), seed
+        seen["not_confluent"] += bool(got[0])
+        seen["dead"] += bool(got[1])
+    assert all(seen.values()), seen
+
+
+@st.composite
+def pair_maps(draw):
+    """A pair map on 2-4 letters, idempotent or not, with or without a unit
+    1 that sends (x, 1) to (1, x) and fixes (1, x)."""
+    g = draw(st.integers(2, 4))
+    with_unit = draw(st.booleans())
+    idempotent = draw(st.booleans())
+    names = ("1",) * with_unit + tuple("abcd")[: g - with_unit]
+    pairs = list(itertools.product(range(g), repeat=2))
+    free = [p for p in pairs if not (with_unit and 0 in p)]
+    rules = {(x, 0): (0, x) for x in range(1, g)} if with_unit else {}
+    if idempotent:
+        fixed = [p for p in free if draw(st.booleans())] or free[:1]
+        fixed += [(0, x) for x in range(g)] if with_unit else []
+        rules.update((p, draw(st.sampled_from(fixed))) for p in free if p not in fixed)
+    else:
+        rules.update((p, draw(st.sampled_from(pairs))) for p in free)
+    named = [((names[a], names[b]), (names[c], names[d])) for (a, b), (c, d) in rules.items()]
+    return NormTable(Alphabet(names), named, unit="1" if with_unit else None)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pair_maps())
+def test_verify_normalisation_matches_dict_oracle(table):
+    confl, dead = dict_oracle_words(table, 4)
+    want = NormalisationReport(
+        max_len=4,
+        idempotence_failures=table.idempotence_failures(),
+        not_normalising=dead,
+        not_confluent=confl,
+    )
+    assert verify_normalisation(table, 4) == want
