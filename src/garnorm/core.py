@@ -93,8 +93,8 @@ class UnitAlreadyPresent(GarnormError):
     """The table already designates a unit letter."""
 
 
-class LetterNotInAlphabet(GarnormError):
-    """A word contains a letter outside the expected alphabet."""
+class LetterNotInAlphabet(AlphabetError):
+    """A name, or a symbol's name, that is not a letter of the alphabet."""
 
 
 class BudgetExhausted(GarnormError):
@@ -197,16 +197,16 @@ class Alphabet:
     def __iter__(self) -> Iterator[Symbol]:
         return iter(self.symbols)
 
-    def __contains__(self, item) -> bool:
-        if isinstance(item, Symbol):
-            return 0 <= item.id < len(self.symbols) and self.symbols[item.id] == item
-        return item in self._by_name
+    def __contains__(self, item: str | Symbol) -> bool:
+        return (item.name if isinstance(item, Symbol) else item) in self._by_name
 
-    def __getitem__(self, name: str) -> Symbol:
+    def __getitem__(self, item: str | Symbol) -> Symbol:
+        """The letter with this name, or with this symbol's name."""
+        name = item.name if isinstance(item, Symbol) else item
         try:
             return self._by_name[name]
         except KeyError:
-            raise AlphabetError(f"unknown symbol {name!r}") from None
+            raise LetterNotInAlphabet(f"unknown symbol {name!r}") from None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Alphabet) and self.names() == other.names()
@@ -232,14 +232,12 @@ class Alphabet:
         ``compact=True`` forces that reading for every token.
         """
         tokens = text.split()
+        by_name = self._by_name
+        if not compact and len(tokens) == 1 and tokens[0] not in by_name:
+            compact = all(ch in by_name for ch in tokens[0])
         if compact:
             return Word(self[ch] for tok in tokens for ch in tok)
-        if all(tok in self._by_name for tok in tokens):
-            return self.word_of(tokens)
-        if len(tokens) == 1 and all(ch in self._by_name for ch in tokens[0]):
-            return Word(self[ch] for ch in tokens[0])
-        bad = next(tok for tok in tokens if tok not in self._by_name)
-        raise AlphabetError(f"unknown symbol {bad!r}")
+        return self.word_of(tokens)
 
     def ids(self, w: Iterable[Symbol]) -> tuple[int, ...]:
         """The ids in this alphabet of the letters of ``w``, matched by name,
@@ -248,7 +246,7 @@ class Alphabet:
         try:
             return tuple(by_name[s.name].id for s in w)
         except KeyError as exc:
-            raise LetterNotInAlphabet(f"letter {exc.args[0]!r} not in alphabet") from None
+            raise LetterNotInAlphabet(f"unknown symbol {exc.args[0]!r}") from None
 
 
 class Word:
@@ -322,30 +320,20 @@ class NormTable:
         if len(alphabet) == 0:
             raise AlphabetError("a normalisation table needs at least one letter")
         self.alphabet = alphabet
-        if unit is not None and not isinstance(unit, Symbol):
-            unit = alphabet[unit]
-        if unit is not None and unit not in alphabet:
-            raise AlphabetError(f"unit {unit.name!r} is not in the alphabet")
-        self.unit = unit
+        self.unit = None if unit is None else alphabet[unit]
 
         g = len(alphabet)
         pairs = [(a, b) for a in range(g) for b in range(g)]
         items = rules.items() if isinstance(rules, Mapping) else rules
         for (a, b), (c, d) in items:
-            pairs[self._sym(a).id * g + self._sym(b).id] = (self._sym(c).id, self._sym(d).id)
+            pairs[alphabet[a].id * g + alphabet[b].id] = (alphabet[c].id, alphabet[d].id)
         # image of the pair (a, b) at index a * g + b
         self._pairs: tuple[tuple[int, int], ...] = tuple(pairs)
         self._home: bool | None = None  # see _incremental
 
-    def _sym(self, s) -> Symbol:
-        if isinstance(s, Symbol):
-            if s not in self.alphabet:
-                raise AlphabetError(f"symbol {s!r} is not in the alphabet")
-            return s
-        return self.alphabet[s]
-
     def _index(self, a: Symbol | str, b: Symbol | str) -> int:
-        return self._sym(a).id * len(self.alphabet) + self._sym(b).id
+        al = self.alphabet
+        return al[a].id * len(al) + al[b].id
 
     def entry(self, a: Symbol | str, b: Symbol | str) -> tuple[Symbol, Symbol]:
         c, d = self._pairs[self._index(a, b)]
@@ -562,11 +550,7 @@ def _word_from_ids(alphabet: Alphabet, ids: Iterable[int]) -> Word:
 
 def nbar_apply(table: NormTable, w: Word, i: int) -> Word:
     """Apply the table to the letters at positions i and i+1 (1-based)."""
-    ids = table.alphabet.ids(w)
-    if not 1 <= i <= len(ids) - 1:
-        raise PositionOutOfRange(f"position {i} out of range for a word of length {len(ids)}")
-    c, d = table._pairs[ids[i - 1] * len(table.alphabet) + ids[i]]
-    return _word_from_ids(table.alphabet, ids[: i - 1] + (c, d) + ids[i + 1 :])
+    return apply_sequence(table, w, (i,))
 
 
 def apply_sequence(table: NormTable, w: Word, positions: Iterable[int]) -> Word:

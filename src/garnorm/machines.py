@@ -35,7 +35,6 @@ from typing import Iterable
 from .core import (
     Alphabet,
     GarnormError,
-    LetterNotInAlphabet,
     NormTable,
     SweepBudgetExhausted,
     Symbol,
@@ -87,27 +86,11 @@ class MealyMachine:
             else None
         )
 
-    def state(self, name: str | Symbol) -> Symbol:
-        if isinstance(name, Symbol):
-            name = name.name
-        try:
-            return self.states[name]
-        except GarnormError:
-            raise LetterNotInAlphabet(f"unknown state {name!r}") from None
-
-    def letter(self, name: str | Symbol) -> Symbol:
-        if isinstance(name, Symbol):
-            name = name.name
-        try:
-            return self.alphabet[name]
-        except GarnormError:
-            raise LetterNotInAlphabet(f"unknown letter {name!r}") from None
-
     def next_state(self, q: Symbol | str, i: Symbol | str) -> Symbol:
-        return self.states.symbols[self._next[self.state(q).id][self.letter(i).id]]
+        return self.states.symbols[self._next[self.states[q].id][self.alphabet[i].id]]
 
     def output(self, q: Symbol | str, i: Symbol | str) -> Symbol:
-        return self.alphabet.symbols[self._out[self.state(q).id][self.letter(i).id]]
+        return self.alphabet.symbols[self._out[self.states[q].id][self.alphabet[i].id]]
 
     def transitions(self):
         """All transitions (state, letter, next, output) in table order."""
@@ -188,20 +171,10 @@ def build_mealy(table: NormTable) -> MealyMachine:
 
 
 def build_thurston(table: NormTable) -> MealyMachine:
-    """The sweeping transducer: from state x on input y, look up (x, y);
-    emit the leftmost letter of the image and carry the rightmost."""
-    table.require_idempotent()
-    al = table.alphabet
-    g = len(al)
-    pairs = table._pairs
-    nxt = [[0] * g for _ in range(g)]
-    out = [[0] * g for _ in range(g)]
-    for x in range(g):
-        for y in range(g):
-            c, d = pairs[x * g + y]
-            nxt[x][y] = d
-            out[x][y] = c
-    return MealyMachine(al, al, nxt, out)
+    """The sweeping transducer, the dual of :func:`build_mealy`: from state
+    x on input y, look up (x, y); emit the leftmost letter of the image and
+    carry the rightmost."""
+    return dual(build_mealy(table))
 
 
 def dual(m: MealyMachine) -> MealyMachine:
@@ -229,7 +202,7 @@ def _run_ids(m: MealyMachine, q: int, ids: tuple[int, ...]) -> tuple[tuple[int, 
 def run(m: MealyMachine, x: Symbol | str, w: Word) -> tuple[Word, Symbol]:
     """Feed ``w`` from state ``x``; the output word and the arrival state.
     The empty word maps to itself."""
-    res, final = _run_ids(m, m.state(x).id, m.alphabet.ids(w))
+    res, final = _run_ids(m, m.states[x].id, m.alphabet.ids(w))
     return _word_from_ids(m.alphabet, res), m.states.symbols[final]
 
 
@@ -398,7 +371,7 @@ def padding_normal_form(m: MealyMachine, unit: Symbol | str, u: Word, n: int) ->
     """
     if n < len(u):
         raise GarnormError(f"padding length {n} is shorter than the state word ({len(u)})")
-    ids = _run_word_ids(m, u, (m.letter(unit).id,) * n)
+    ids = _run_word_ids(m, u, (m.alphabet[unit].id,) * n)
     return _word_from_ids(m.alphabet, reversed(ids))
 
 
@@ -441,7 +414,7 @@ def numeration_iterate(
     working word first recurs (cycle onset and period), if it does."""
     if steps < 1:
         raise GarnormError("steps must be at least 1")
-    q = m.state(start).id
+    q = m.states[start].id
     ids = m.alphabet.ids(w)
     state_syms = m.states.symbols
 

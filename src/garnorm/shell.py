@@ -47,8 +47,10 @@ from .core import (
     BudgetExhausted,
     DEFAULT_NODE_BUDGET,
     GarnormError,
+    LetterNotInAlphabet,
     NormTable,
     ParseError,
+    Symbol,
     Word,
 )
 from .gallery import gallery
@@ -93,6 +95,16 @@ def _header(lineno: int, head: str, names: list[str], current: Alphabet | None) 
         raise ParseError(lineno, str(exc)) from None
 
 
+def _letters(lineno: int, alphabet: Alphabet, names, what: str) -> list[Symbol]:
+    """The letters of ``alphabet`` named on a directive line; an unknown
+    name is an error at that line, reported as an unknown ``what``."""
+    try:
+        return [alphabet[name] for name in names]
+    except LetterNotInAlphabet:
+        bad = next(name for name in names if name not in alphabet)
+        raise ParseError(lineno, f"unknown {what} {bad!r}") from None
+
+
 def _first_use(first_lines: dict, key, lineno: int, what: str) -> None:
     """Record that ``key`` is declared at ``lineno``; a second declaration
     is an error naming the line of the first."""
@@ -126,11 +138,9 @@ def parse_table(text: str) -> NormTable:
             if len(rest) != 5 or rest[2] != "->":
                 raise ParseError(lineno, "expected 'rule <a> <b> -> <c> <d>'")
             a, b, _, c, d = rest
-            for name in (a, b, c, d):
-                if name not in alphabet:
-                    raise ParseError(lineno, f"unknown symbol {name!r}")
+            rule = _letters(lineno, alphabet, (a, b, c, d), "symbol")
             _first_use(seen_pairs, (a, b), lineno, f"rule for pair ({a} {b})")
-            rules.append(((a, b), (c, d)))
+            rules.append((rule[:2], rule[2:]))
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
     if alphabet is None:
@@ -143,7 +153,7 @@ def parse_machine(text: str) -> MealyMachine:
     exactly once."""
     states = None
     alphabet = None
-    trans: dict[tuple[str, str], tuple[str, str]] = {}
+    trans: dict[tuple[str, str], tuple[int, int]] = {}
     lines_seen: dict[tuple[str, str], int] = {}
     for lineno, tokens in _directive_lines(text):
         head, rest = tokens[0], tokens[1:]
@@ -158,16 +168,10 @@ def parse_machine(text: str) -> MealyMachine:
             if len(rest) != 5 or rest[2] != "->":
                 raise ParseError(lineno, "expected 'trans <state> <letter> -> <next> <output>'")
             q, i, _, nq, o = rest
-            if q not in states:
-                raise ParseError(lineno, f"unknown state {q!r}")
-            if nq not in states:
-                raise ParseError(lineno, f"unknown state {nq!r}")
-            if i not in alphabet:
-                raise ParseError(lineno, f"unknown letter {i!r}")
-            if o not in alphabet:
-                raise ParseError(lineno, f"unknown letter {o!r}")
+            _, nq = _letters(lineno, states, (q, nq), "state")
+            _, o = _letters(lineno, alphabet, (i, o), "letter")
             _first_use(lines_seen, (q, i), lineno, f"transition for ({q} {i})")
-            trans[q, i] = (nq, o)
+            trans[q, i] = (nq.id, o.id)
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
     if states is None or alphabet is None:
@@ -176,8 +180,8 @@ def parse_machine(text: str) -> MealyMachine:
         for i in alphabet.names():
             if (q, i) not in trans:
                 raise ParseError(states_line, f"missing transition for ({q} {i})")
-    nxt = [[states[trans[q, i][0]].id for i in alphabet.names()] for q in states.names()]
-    out = [[alphabet[trans[q, i][1]].id for i in alphabet.names()] for q in states.names()]
+    nxt = [[trans[q, i][0] for i in alphabet.names()] for q in states.names()]
+    out = [[trans[q, i][1] for i in alphabet.names()] for q in states.names()]
     return MealyMachine(states, alphabet, nxt, out)
 
 
@@ -205,10 +209,8 @@ def parse_presentation(text: str, search_budget: int | None = None):
             lhs, rhs = rest[:eq], rest[eq + 1 :]
             if not lhs or not rhs or "=" in rhs:
                 raise ParseError(lineno, "expected 'rel <word> = <word>'")
-            try:
-                relations.append((atoms.word_of(lhs), atoms.word_of(rhs)))
-            except GarnormError as exc:
-                raise ParseError(lineno, str(exc)) from None
+            lhs, rhs = (Word(_letters(lineno, atoms, side, "symbol")) for side in (lhs, rhs))
+            relations.append((lhs, rhs))
         elif head == "family":
             if len(rest) < 3 or rest[1] != "=":
                 raise ParseError(lineno, "expected 'family <name> = <word|EPS>'")
@@ -225,9 +227,7 @@ def parse_presentation(text: str, search_budget: int | None = None):
                     )
                 rep_text = ""
             else:
-                for w in words:
-                    if w not in atoms:
-                        raise ParseError(lineno, f"unknown atom {w!r}")
+                _letters(lineno, atoms, words, "atom")
                 rep_text = " ".join(words)
             family_entries.append((name, rep_text))
         else:

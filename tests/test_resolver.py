@@ -1,13 +1,16 @@
-"""Every word-taking entry point matches letters by name: a word built over
-another Alphabet object with the same names (here in another order, so
-the letter ids differ) gives the same answer as the native word, and a
-name outside the expected alphabet raises LetterNotInAlphabet."""
+"""Every entry point that takes a word, a letter, a state or a unit matches
+letters by name: a word or a symbol taken from another Alphabet object with
+the same names (here in another order, so the letter ids differ) gives the
+same answer as the native one, and a name outside the expected alphabet
+raises LetterNotInAlphabet, an AlphabetError."""
 
 import pytest
 
 from garnorm import (
     Alphabet,
+    AlphabetError,
     LetterNotInAlphabet,
+    NormTable,
     bounded_equal,
     build_mealy,
     build_thurston,
@@ -16,6 +19,7 @@ from garnorm import (
     is_normal,
     nbar_apply,
     normalize,
+    numeration_iterate,
     padding_normal_form,
     run,
     run_word,
@@ -26,6 +30,7 @@ plactic2 = gallery("plactic2").table
 mealy = build_mealy(plactic2)
 sweeper = build_thurston(plactic2)
 div3 = gallery("div3").machine
+mul2 = gallery("mul2").machine
 bs10 = gallery("bs10").presentation[0]
 
 
@@ -71,5 +76,66 @@ def test_unknown_name_raises_letter_not_in_alphabet(name, call):
     def with_stranger(alphabet, text):
         return over(alphabet, text + " zz", ("zz",))
 
-    with pytest.raises(LetterNotInAlphabet):
+    with pytest.raises(LetterNotInAlphabet, match="^unknown symbol 'zz'$"):
         call(with_stranger)
+
+
+def reordered(alphabet: Alphabet, name: str):
+    """The symbol named ``name`` over a fresh alphabet, as in :func:`over`."""
+    return over(alphabet, name)[0]
+
+
+def single_cases():
+    """(name, call taking a letter-resolver) pairs; the resolver maps
+    (alphabet, name) to what the call passes as a letter, state or unit."""
+    al = plactic2.alphabet
+    rules = plactic2.rules()
+    mealy_word, mul2_word = mealy.states.word("b a ba"), mul2.alphabet.word("12")
+
+    def table_and_unit(s):
+        table = NormTable(al, rules, unit=s(al, "1"))
+        return table, table.unit
+
+    return [
+        ("NormTable.entry", lambda s: plactic2.entry(s(al, "b"), s(al, "a"))),
+        ("NormTable.is_fixed", lambda s: (plactic2.is_fixed(s(al, "b"), s(al, "a")),
+                                          plactic2.is_fixed(s(al, "a"), s(al, "b")))),
+        ("NormTable rules",
+         lambda s: NormTable(al, {(s(al, a.name), s(al, b.name)): (s(al, c.name), s(al, d.name))
+                                  for (a, b), (c, d) in rules}, unit="1")),
+        ("NormTable unit", table_and_unit),
+        ("MealyMachine.next_state", lambda s: div3.next_state(s(div3.states, "1"),
+                                                              s(div3.alphabet, "0"))),
+        ("MealyMachine.output", lambda s: div3.output(s(div3.states, "1"),
+                                                      s(div3.alphabet, "0"))),
+        ("run state", lambda s: run(div3, s(div3.states, "1"), div3.alphabet.word("1 0 1"))),
+        ("numeration_iterate start",
+         lambda s: numeration_iterate(mul2, s(mul2.states, "0"), mul2_word, 6)),
+        ("padding_normal_form unit",
+         lambda s: padding_normal_form(mealy, s(mealy.alphabet, "1"), mealy_word, 5)),
+    ]
+
+
+SINGLE_IDS = [c[0] for c in single_cases()]
+
+
+@pytest.mark.parametrize("name, call", single_cases(), ids=SINGLE_IDS)
+def test_foreign_symbol_with_same_name_is_accepted(name, call):
+    native = call(lambda alphabet, letter: alphabet[letter])
+    assert call(reordered) == native
+    assert call(lambda alphabet, letter: letter) == native
+
+
+@pytest.mark.parametrize("stranger", ["zz", Alphabet(["zz"])["zz"]], ids=["name", "symbol"])
+@pytest.mark.parametrize("name, call", single_cases(), ids=SINGLE_IDS)
+def test_unknown_single_name_raises_letter_not_in_alphabet(name, call, stranger):
+    with pytest.raises(LetterNotInAlphabet, match="^unknown symbol 'zz'$") as info:
+        call(lambda alphabet, letter: stranger)
+    assert isinstance(info.value, AlphabetError)
+
+
+def test_alphabet_matches_symbols_by_name():
+    al = plactic2.alphabet
+    foreign = reordered(al, "ba")
+    assert foreign != al["ba"] and foreign in al and al[foreign] is al["ba"]
+    assert Alphabet(["zz"])["zz"] not in al and "zz" not in al
