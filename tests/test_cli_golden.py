@@ -67,8 +67,12 @@ GALLERY_CASES = [
     ["equal", "gallery:plactic2", "a b a", "b a a"],
     ["equal", "gallery:bicyclic", "a b", "1 1"],
     ["equal", "gallery:div3", "01", "10", "--compact"],
+    ["equal", "gallery:malcev", "c' b", "a' d"],
+    ["equal", "gallery:malcev", "c' a", "c a"],
     ["growth", "gallery:div3", "--max", "3"],
     ["growth", "gallery:plactic2", "--max", "3"],
+    ["growth", "gallery:braid3", "--max", "6"],
+    ["growth", "gallery:bicyclic", "--max", "5"],
     ["greedy", "gallery:bs10"],
     ["greedy", "gallery:braid3"],
     ["gallery", "bs10"],
