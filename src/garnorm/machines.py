@@ -21,8 +21,12 @@ Production functions of the first machine act on reversed normal words;
 ``padding_normal_form`` performs the reversal so callers only ever see
 forward words.
 
-Machines are immutable; all operations are pure, and every memo table is
-per-call, so concurrent readers are safe.
+Machines are immutable and all operations are pure.  Every memo table is
+per-call except one: the representative of each action class of length-2
+state words, computed on first use and kept on the machine (see
+:func:`_pair_reps`).  It is written once, without a lock; two threads that
+race compute the same tuple, and either assignment leaves a correct value,
+so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ class MealyMachine:
     and letter id; both are total.
     """
 
-    __slots__ = ("states", "alphabet", "_next", "_out", "_sweep_pairs")
+    __slots__ = ("states", "alphabet", "_next", "_out", "_sweep_pairs", "_reps")
 
     def __init__(
         self,
@@ -85,6 +89,7 @@ class MealyMachine:
             if states == alphabet
             else None
         )
+        self._reps: tuple[tuple[int, int], ...] | None = None  # see _pair_reps
 
     def next_state(self, q: Symbol | str, i: Symbol | str) -> Symbol:
         return self.states.symbols[self._next[self.states[q].id][self.alphabet[i].id]]
@@ -127,13 +132,15 @@ class ActionClassPartition:
     """States grouped by their induced word functions (Nerode-stable)."""
 
     classes: dict
+    states: Alphabet
 
     @property
     def num_classes(self) -> int:
         return len(set(self.classes.values()))
 
-    def class_of(self, state: Symbol) -> int:
-        return self.classes[state]
+    def class_of(self, state: Symbol | str) -> int:
+        """The class of the state with this name, or with this symbol's name."""
+        return self.classes[self.states[state]]
 
 
 @dataclass(frozen=True)
@@ -236,20 +243,62 @@ def _thread(m: MealyMachine, tup: tuple[int, ...], j: int) -> tuple[int, tuple[i
     return j, tuple(res)
 
 
-def distinguishing_word(m: MealyMachine, u: Word, v: Word) -> Word | None:
-    """A shortest input on which the actions of ``u`` and ``v`` differ,
-    or None when they agree on all words.
+def _pair_reps(m: MealyMachine) -> tuple[tuple[int, int], ...]:
+    """The least pair, in lexicographic order, of the action class of each
+    length-2 state word, at index a * q + b for the pair (a, b).
 
-    Breadth-first bisimulation over pairs of state tuples: a pair is
-    consistent iff every letter produces equal threaded outputs and a
-    consistent successor pair.  The reachable pair set is finite, so the
-    search terminates.
+    Action equality is a congruence on state words, so these classes form
+    a quadratic rewriting system on them, in the flat pair encoding of
+    ``NormTable``: replacing an adjacent pair by its representative keeps
+    the action.  Computed once per machine, at the cost of q**2 * s
+    threads and one refinement, and kept in ``m._reps``.
+    """
+    reps = m._reps
+    if reps is None:
+        q = len(m.states)
+        # the identity pair table keeps every pair on level 2
+        identity = tuple(itertools.product(range(q), repeat=2))
+        *_, (pairs, outs, succs) = _levels(m, 2, identity)
+        least: dict = {}
+        reps = tuple(least.setdefault(c, p) for p, c in zip(pairs, _refine(outs, succs)))
+        m._reps = reps
+    return reps
+
+
+def _reduce(m: MealyMachine, tup: tuple[int, ...]) -> tuple[int, ...]:
+    """A state tuple with the action of ``tup`` in which every adjacent pair
+    is its own representative.  Each replacement makes the tuple
+    lexicographically smaller, so the sweeps stop."""
+    if len(tup) < 2:
+        return tup
+    reps = _pair_reps(m)
+    w = list(tup)
+    while _sweep(reps, len(m.states), w):
+        pass
+    return tuple(w)
+
+
+def distinguishing_word(m: MealyMachine, u: Word, v: Word) -> Word | None:
+    """The shortlex-least input on which the actions of ``u`` and ``v``
+    differ, or None when they agree on all words.
+
+    Both state words are first reduced by the representatives of the
+    length-2 action classes (a one-time cost of q**2 * s threads per
+    machine); when the reduced tuples coincide the actions agree.
+    Otherwise a breadth-first bisimulation runs over pairs of state
+    tuples, trying letters in order: a pair is consistent iff every letter
+    produces equal threaded outputs and a consistent successor pair.  The
+    reachable pair set is finite, so the search terminates, and the first
+    inconsistent letter ends the shortlex-least distinguishing input,
+    which depends only on the two actions.
     """
     su = m.states.ids(u)
     sv = m.states.ids(v)
     if not su or not sv:
         raise GarnormError("state words must be non-empty")
-    start = (su, sv)
+    start = (_reduce(m, su), _reduce(m, sv))
+    if start[0] == start[1]:
+        return None
     seen = {start}
     parent: dict = {}
     queue = deque([start])
@@ -289,47 +338,66 @@ def _refine(initial_keys: list, next_rows: list) -> list[int]:
 
     def assign(keys):
         ids: dict = {}
-        out = []
-        for k in keys:
-            if k not in ids:
-                ids[k] = len(ids)
-            out.append(ids[k])
-        return out
+        return [ids.setdefault(k, len(ids)) for k in keys]
 
     cls = assign(initial_keys)
     while True:
-        new = assign(
-            [(cls[x], tuple(cls[t] for t in next_rows[x])) for x in range(len(cls))]
-        )
+        get = cls.__getitem__
+        new = assign([(c, tuple(map(get, row))) for c, row in zip(cls, next_rows)])
         if new == cls:
             return cls
         cls = new
 
 
-def _action_class_ids(m: MealyMachine, length: int) -> list[int]:
-    """Action-equality class ids of the state words of exactly ``length``,
-    listed in ``itertools.product`` order and numbered in order of first
-    occurrence.
+def _levels(m: MealyMachine, length: int, reps=None):
+    """For k = 1 .. ``length``, the reduced state tuples of length k (those
+    whose adjacent pairs are all fixed by the pair table ``reps``, the
+    machine's representatives by default) in lexicographic order, with
+    their product-machine rows: ``outs[x][j]`` is the output of tuple x on
+    letter j, and ``succs[x][j]`` the position of a reduced tuple with the
+    action of its successor.  Every tuple reduces to one on its level, so
+    the levels meet every action class.
 
-    The tuples of states form a product machine (letters thread through);
-    partition refinement on it decides all action equalities at once, the
-    same fixed point :func:`action_equal` computes pair by pair.
+    The prefix of a reduced tuple is reduced, so level k + 1 is built from
+    level k.  Letter j through t + (b,) first passes t, which outputs
+    o = outs[t][j] and moves to a tuple with the action of s = succs[t][j];
+    then b reads o.  So the row entry of t + (b,) is b's output on o, and
+    the position of the reduction of s + (b's next state on o).
     """
-    q, s = len(m.states), len(m.alphabet)
-    tuples = list(itertools.product(range(q), repeat=length))
-    index = {t: k for k, t in enumerate(tuples)}
-    out_rows = []
-    next_rows = []
-    for t in tuples:
-        orow = []
-        nrow = []
-        for j in range(s):
-            o, nt = _thread(m, t, j)
-            orow.append(o)
-            nrow.append(index[nt])
-        out_rows.append(tuple(orow))
-        next_rows.append(nrow)
-    return _refine(out_rows, next_rows)
+    if length < 1:
+        return
+    q = len(m.states)
+    nxt, out = m._next, m._out
+    tuples = [(x,) for x in range(q)]
+    outs, succs = list(out), list(nxt)
+    yield tuples, outs, succs
+    for _ in range(length - 1):
+        if reps is None:
+            reps = _pair_reps(m)
+        level = [(r, b) for r, t in enumerate(tuples) for b in range(q)
+                 if reps[t[-1] * q + b] == (t[-1], b)]
+        prev, tuples = tuples, [tuples[r] + (b,) for r, b in level]
+        # position of the reduction of prev[r] + (b,), keyed r * q + b; with
+        # the identity table every extension is on the level, so a miss
+        # only happens with the machine's representatives
+        ext = {r * q + b: k for k, (r, b) in enumerate(level)}
+        index = None
+        new_outs, new_succs = [], []
+        for r, b in level:
+            ob, nb = out[b], nxt[b]
+            row = []
+            for sr, o in zip(succs[r], outs[r]):
+                key = sr * q + nb[o]
+                k = ext.get(key)
+                if k is None:
+                    if index is None:
+                        index = {t: i for i, t in enumerate(tuples)}
+                    k = ext[key] = index[_reduce(m, prev[sr] + (nb[o],))]
+                row.append(k)
+            new_outs.append(tuple(ob[o] for o in outs[r]))
+            new_succs.append(row)
+        outs, succs = new_outs, new_succs
+        yield tuples, outs, succs
 
 
 def minimize(m: MealyMachine) -> ActionClassPartition:
@@ -340,22 +408,32 @@ def minimize(m: MealyMachine) -> ActionClassPartition:
     class rows runs to a fixed point.  A distinguishing input for states
     in different classes can be obtained from :func:`distinguishing_word`.
     """
-    return ActionClassPartition(dict(zip(m.states.symbols, _action_class_ids(m, 1))))
+    _, outs, succs = next(_levels(m, 1))
+    return ActionClassPartition(dict(zip(m.states.symbols, _refine(outs, succs))), m.states)
 
 
 def tuple_action_classes(m: MealyMachine, length: int) -> dict[tuple[Symbol, ...], int]:
     """Action-equality classes of all state words of exactly ``length``,
-    keyed by state tuple."""
+    keyed by state tuple in ``itertools.product`` order and numbered in
+    order of first occurrence."""
     if length < 1:
         raise GarnormError("length must be at least 1")
+    *_, (reduced, outs, succs) = _levels(m, length)
+    cls = dict(zip(reduced, _refine(outs, succs)))
+    # the reduction of t + (b,) is that of (reduction of t) + (b,)
+    q = len(m.states)
+    reductions = [()]
+    for _ in range(length):
+        reductions = [_reduce(m, r + (b,)) for r in reductions for b in range(q)]
+    renumber: dict = {}
     tuples = itertools.product(m.states.symbols, repeat=length)
-    return dict(zip(tuples, _action_class_ids(m, length)))
+    return {t: renumber.setdefault(cls[r], len(renumber)) for t, r in zip(tuples, reductions)}
 
 
 def growth(m: MealyMachine, max_len: int = 5) -> list[int]:
     """Entry k: the number of action-equality classes of state words of
-    length exactly k+1."""
-    return [len(set(_action_class_ids(m, k))) for k in range(1, max_len + 1)]
+    length exactly k+1, found among the reduced tuples only."""
+    return [len(set(_refine(outs, succs))) for _, outs, succs in _levels(m, max_len)]
 
 
 # ---------------------------------------------------------------------------

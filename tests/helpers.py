@@ -162,3 +162,58 @@ def dict_rewrite_analysis(table: NormTable, max_len: int):
         if len(nfsets) < g**n:
             dead_all += [w for w in itertools.product(range(g), repeat=n) if w not in nfsets]
     return confl_all, dead_all
+
+
+def _thread(m, tup: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
+    """Letter ``j`` through the states of ``tup`` in turn: (last output,
+    next states)."""
+    res = []
+    for q in tup:
+        res.append(m._next[q][j])
+        j = m._out[q][j]
+    return j, tuple(res)
+
+
+def bfs_distinguishing_word(m, u: Word, v: Word) -> Word | None:
+    """Breadth-first bisimulation over every reachable pair of raw state
+    tuples, letters tried in order: the shortlex-least input on which the
+    actions of ``u`` and ``v`` differ, or None when they agree."""
+    start = (m.states.ids(u), m.states.ids(v))
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for j in range(len(m.alphabet)):
+            oa, na = _thread(m, cur[0], j)
+            ob, nb = _thread(m, cur[1], j)
+            if oa != ob:
+                letters = [j]
+                while parent[cur] is not None:
+                    cur, jj = parent[cur]
+                    letters.append(jj)
+                return Word(m.alphabet.symbols[i] for i in reversed(letters))
+            child = (na, nb)
+            if child not in parent:
+                parent[child] = (cur, j)
+                queue.append(child)
+    return None
+
+
+def product_action_class_ids(m, length: int) -> list[int]:
+    """Action classes of all q**length state tuples, in ``itertools.product``
+    order and numbered by first occurrence: Moore refinement of the whole
+    product machine, with no reduction of the tuples."""
+    q, s = len(m.states), len(m.alphabet)
+    tuples = list(itertools.product(range(q), repeat=length))
+    index = {t: k for k, t in enumerate(tuples)}
+    rows = [[_thread(m, t, j) for j in range(s)] for t in tuples]
+    keys = [tuple(o for o, _ in row) for row in rows]
+    succ = [[index[nt] for _, nt in row] for row in rows]
+    cls: list[int] = []
+    while True:
+        ids: dict = {}
+        new = [ids.setdefault(key, len(ids)) for key in keys]
+        if new == cls:
+            return cls
+        cls = new
+        keys = [(cls[x], tuple(cls[y] for y in succ[x])) for x in range(len(tuples))]

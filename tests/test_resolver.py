@@ -17,6 +17,7 @@ from garnorm import (
     distinguishing_word,
     gallery,
     is_normal,
+    minimize,
     nbar_apply,
     normalize,
     numeration_iterate,
@@ -113,6 +114,8 @@ def single_cases():
          lambda s: numeration_iterate(mul2, s(mul2.states, "0"), mul2_word, 6)),
         ("padding_normal_form unit",
          lambda s: padding_normal_form(mealy, s(mealy.alphabet, "1"), mealy_word, 5)),
+        ("ActionClassPartition.class_of",
+         lambda s: [minimize(div3).class_of(s(div3.states, x)) for x in "02"]),
     ]
 
 
