@@ -343,7 +343,7 @@ def _refine(initial_keys: list, next_rows: list) -> list[int]:
     cls = assign(initial_keys)
     while True:
         get = cls.__getitem__
-        new = assign([(c, tuple(map(get, row))) for c, row in zip(cls, next_rows)])
+        new = assign([(c, *map(get, row)) for c, row in zip(cls, next_rows)])
         if new == cls:
             return cls
         cls = new
@@ -381,7 +381,7 @@ def _levels(m: MealyMachine, length: int, reps=None):
         # the identity table every extension is on the level, so a miss
         # only happens with the machine's representatives
         ext = {r * q + b: k for k, (r, b) in enumerate(level)}
-        index = None
+        index = {t: k for k, t in enumerate(tuples)}
         new_outs, new_succs = [], []
         for r, b in level:
             ob, nb = out[b], nxt[b]
@@ -390,13 +390,12 @@ def _levels(m: MealyMachine, length: int, reps=None):
                 key = sr * q + nb[o]
                 k = ext.get(key)
                 if k is None:
-                    if index is None:
-                        index = {t: i for i, t in enumerate(tuples)}
                     k = ext[key] = index[_reduce(m, prev[sr] + (nb[o],))]
                 row.append(k)
             new_outs.append(tuple(ob[o] for o in outs[r]))
             new_succs.append(row)
         outs, succs = new_outs, new_succs
+        del prev, level, ext, index  # not needed while the caller refines
         yield tuples, outs, succs
 
 
@@ -420,14 +419,12 @@ def tuple_action_classes(m: MealyMachine, length: int) -> dict[tuple[Symbol, ...
         raise GarnormError("length must be at least 1")
     *_, (reduced, outs, succs) = _levels(m, length)
     cls = dict(zip(reduced, _refine(outs, succs)))
-    # the reduction of t + (b,) is that of (reduction of t) + (b,)
-    q = len(m.states)
-    reductions = [()]
-    for _ in range(length):
-        reductions = [_reduce(m, r + (b,)) for r in reductions for b in range(q)]
+    syms = m.states.symbols
     renumber: dict = {}
-    tuples = itertools.product(m.states.symbols, repeat=length)
-    return {t: renumber.setdefault(cls[r], len(renumber)) for t, r in zip(tuples, reductions)}
+    return {
+        tuple(syms[i] for i in t): renumber.setdefault(cls[_reduce(m, t)], len(renumber))
+        for t in itertools.product(range(len(syms)), repeat=length)
+    }
 
 
 def growth(m: MealyMachine, max_len: int = 5) -> list[int]:

@@ -10,6 +10,8 @@ identical, not merely equivalent.
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,3 +207,30 @@ def test_length_one_words_need_no_representatives():
     minimize(m)
     growth(m, 1)
     assert m._reps is None
+
+
+def test_threads_racing_on_first_use_all_get_the_oracle_answers():
+    """The representatives are written without a lock: threads that race
+    on a fresh machine each compute the same tuple, so every answer holds."""
+    t = gallery("braid3").table
+    m = build_mealy(t)
+    pairs = sample_pairs(m, random.Random("threads"), per_length=2, congruent=2)
+    want = [bfs_distinguishing_word(m, u, v) for u, v in pairs]
+    results = [None] * 8
+
+    def work(i):
+        results[i] = [distinguishing_word(m, u, v) for u, v in pairs]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [want] * len(results)
+    assert m._reps is not None
