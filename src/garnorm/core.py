@@ -423,21 +423,19 @@ def _is_normal_ids(pairs, g: int, ids: Sequence[int]) -> bool:
     return True
 
 
-def _sweep(pairs, g: int, w: list[int]) -> bool:
-    """Apply the table at positions 1..n-1 left to right, in place; each
-    application sees the letter the previous one carried.  Returns whether
-    any application moved a letter, which is false exactly when ``w`` was
-    normal."""
-    changed = False
-    a = w[0]
-    for i, b in enumerate(w[1:]):
-        c, d = pairs[a * g + b]
-        if c != a or d != b:
-            changed = True
-        w[i] = c
-        a = d
-    w[-1] = a
-    return changed
+def _sweep(pairs, g: int, a: int, w: Sequence[int]) -> list[int]:
+    """Carry the letter ``a`` through ``w``: at each letter b the table
+    sends (a, b) to (c, d), c is written and d carried on.  Returns the
+    written letters, then the last carried one: one left-to-right sweep of
+    the word a w, or on a Mealy machine's pair table the run from state
+    ``a`` over ``w``.  A normal word sweeps to itself, but so may a word
+    that is not normal (a carried letter can be put back further on)."""
+    res = []
+    for b in w:
+        c, a = pairs[a * g + b]
+        res.append(c)
+    res.append(a)
+    return res
 
 
 def _insert_ids(pairs, g: int, ids: Sequence[int]) -> tuple[int, ...]:
@@ -507,15 +505,16 @@ def _sweep_normalize_ids(
     when they cycle; valid for every table."""
     n = len(ids)
     pairs, g = table._pairs, len(table.alphabet)
-    w = list(ids)
+    w = ids
     seen = {ids}
     for _ in range(n * n + n):
-        if not _sweep(pairs, g, w):
-            return tuple(w)
-        t = tuple(w)
+        t = tuple(_sweep(pairs, g, w[0], w[1:]))
+        if t == w and _is_normal_ids(pairs, g, t):
+            return t
         if t in seen:
             break
         seen.add(t)
+        w = t
     # Sweeps cycle: fall back to exhaustive search from the original word.
     normals, budget_hit = _reachable_normals(table, ids, node_budget)
     al = table.alphabet

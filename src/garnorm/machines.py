@@ -21,6 +21,11 @@ Production functions of the first machine act on reversed normal words;
 ``padding_normal_form`` performs the reversal so callers only ever see
 forward words.
 
+A machine is stored as its pair table in the flat encoding of ``NormTable``:
+(output, next state) of state q on letter i at index q * s + i over s
+letters.  So the sweeping transducer is the table's own pairs, and a run
+from q over w is the sweep ``core._sweep`` of the word q w.
+
 Machines are immutable and all operations are pure.  Every memo table is
 per-call except one: the representative of each action class of length-2
 state words, computed on first use and kept on the machine (see
@@ -54,10 +59,11 @@ class MealyMachine:
     (state, letter) pair.
 
     ``next_table[q][i]`` and ``out_table[q][i]`` are indexed by state id
-    and letter id; both are total.
+    and letter id; both are total.  The machine keeps them as one flat
+    pair table, (output, next state) at index q * s + i over s letters.
     """
 
-    __slots__ = ("states", "alphabet", "_next", "_out", "_sweep_pairs", "_reps")
+    __slots__ = ("states", "alphabet", "_pairs", "_reps")
 
     def __init__(
         self,
@@ -66,8 +72,6 @@ class MealyMachine:
         next_table: Iterable[Iterable[int]],
         out_table: Iterable[Iterable[int]],
     ):
-        self.states = states
-        self.alphabet = alphabet
         nxt = tuple(tuple(row) for row in next_table)
         out = tuple(tuple(row) for row in out_table)
         q, s = len(states), len(alphabet)
@@ -79,46 +83,44 @@ class MealyMachine:
         for row in out:
             if len(row) != s or not all(0 <= v < s for v in row):
                 raise GarnormError("output table is not total over the alphabet")
-        self._next = nxt
-        self._out = out
-        # When the states are the letters, (state x, letter y) -> (output,
-        # next state) is a pair table in the flat encoding of NormTable, and
-        # a run from w[0] over w[1:] is one sweep of it.
-        self._sweep_pairs = (
-            tuple(pair for o, n in zip(out, nxt) for pair in zip(o, n))
-            if states == alphabet
-            else None
-        )
+        self.states = states
+        self.alphabet = alphabet
+        self._pairs = tuple(pair for o, n in zip(out, nxt) for pair in zip(o, n))
         self._reps: tuple[tuple[int, int], ...] | None = None  # see _pair_reps
 
+    @classmethod
+    def _of_pairs(cls, states: Alphabet, alphabet: Alphabet, pairs) -> "MealyMachine":
+        """The machine on a flat pair table that is already total."""
+        m = cls.__new__(cls)
+        m.states, m.alphabet, m._pairs, m._reps = states, alphabet, pairs, None
+        return m
+
+    def _pair(self, q: Symbol | str, i: Symbol | str) -> tuple[int, int]:
+        return self._pairs[self.states[q].id * len(self.alphabet) + self.alphabet[i].id]
+
     def next_state(self, q: Symbol | str, i: Symbol | str) -> Symbol:
-        return self.states.symbols[self._next[self.states[q].id][self.alphabet[i].id]]
+        return self.states.symbols[self._pair(q, i)[1]]
 
     def output(self, q: Symbol | str, i: Symbol | str) -> Symbol:
-        return self.alphabet.symbols[self._out[self.states[q].id][self.alphabet[i].id]]
+        return self.alphabet.symbols[self._pair(q, i)[0]]
 
     def transitions(self):
         """All transitions (state, letter, next, output) in table order."""
-        for q in self.states:
-            for i in self.alphabet:
-                yield (
-                    q,
-                    i,
-                    self.states.symbols[self._next[q.id][i.id]],
-                    self.alphabet.symbols[self._out[q.id][i.id]],
-                )
+        states, letters = self.states.symbols, self.alphabet.symbols
+        for k, (o, n) in enumerate(self._pairs):
+            q, i = divmod(k, len(letters))
+            yield states[q], letters[i], states[n], letters[o]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MealyMachine)
             and self.states == other.states
             and self.alphabet == other.alphabet
-            and self._next == other._next
-            and self._out == other._out
+            and self._pairs == other._pairs
         )
 
     def __hash__(self) -> int:
-        return hash((self.states, self.alphabet, self._next, self._out))
+        return hash((self.states, self.alphabet, self._pairs))
 
     def __repr__(self) -> str:
         return (
@@ -159,38 +161,27 @@ class IterationResult:
 # construction
 
 
-def build_mealy(table: NormTable) -> MealyMachine:
-    """The transducer whose state is the right factor: from state q on
-    input i, look up (i, q); emit the rightmost letter of the image and
-    move to the leftmost."""
-    table.require_idempotent()
-    al = table.alphabet
-    g = len(al)
-    pairs = table._pairs
-    nxt = [[0] * g for _ in range(g)]
-    out = [[0] * g for _ in range(g)]
-    for q in range(g):
-        for i in range(g):
-            c, d = pairs[i * g + q]
-            nxt[q][i] = c
-            out[q][i] = d
-    return MealyMachine(al, al, nxt, out)
-
-
 def build_thurston(table: NormTable) -> MealyMachine:
-    """The sweeping transducer, the dual of :func:`build_mealy`: from state
-    x on input y, look up (x, y); emit the leftmost letter of the image and
-    carry the rightmost."""
-    return dual(build_mealy(table))
+    """The sweeping transducer: from state x on input y, look up (x, y);
+    emit the leftmost letter of the image and carry the rightmost.  Its
+    pair table is the table's own."""
+    table.require_idempotent()
+    return MealyMachine._of_pairs(table.alphabet, table.alphabet, table._pairs)
+
+
+def build_mealy(table: NormTable) -> MealyMachine:
+    """The transducer whose state is the right factor, the dual of
+    :func:`build_thurston`: from state q on input i, look up (i, q); emit
+    the rightmost letter of the image and move to the leftmost."""
+    return dual(build_thurston(table))
 
 
 def dual(m: MealyMachine) -> MealyMachine:
     """Exchange states and letters: transition x --i|j--> y becomes
     i --x|y--> j.  An involution."""
-    q, s = len(m.states), len(m.alphabet)
-    nxt = [[m._out[x][i] for x in range(q)] for i in range(s)]
-    out = [[m._next[x][i] for x in range(q)] for i in range(s)]
-    return MealyMachine(m.alphabet, m.states, nxt, out)
+    q, s, pairs = len(m.states), len(m.alphabet), m._pairs
+    flipped = tuple(pairs[x * s + i][::-1] for i in range(s) for x in range(q))
+    return MealyMachine._of_pairs(m.alphabet, m.states, flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +189,9 @@ def dual(m: MealyMachine) -> MealyMachine:
 
 
 def _run_ids(m: MealyMachine, q: int, ids: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    nxt, out = m._next, m._out
-    res = []
-    for i in ids:
-        res.append(out[q][i])
-        q = nxt[q][i]
-    return tuple(res), q
+    res = _sweep(m._pairs, len(m.alphabet), q, ids)
+    final = res.pop()
+    return tuple(res), final
 
 
 def run(m: MealyMachine, x: Symbol | str, w: Word) -> tuple[Word, Symbol]:
@@ -213,11 +201,13 @@ def run(m: MealyMachine, x: Symbol | str, w: Word) -> tuple[Word, Symbol]:
     return _word_from_ids(m.alphabet, res), m.states.symbols[final]
 
 
-def _run_word_ids(m: MealyMachine, u: Word, ids: tuple[int, ...]) -> tuple[int, ...]:
+def _run_word_ids(m: MealyMachine, u: Word, ids: tuple[int, ...]) -> list[int]:
     if len(u) == 0:
         raise GarnormError("the state word must be non-empty")
+    pairs, s = m._pairs, len(m.alphabet)
     for q in m.states.ids(u):
-        ids, _ = _run_ids(m, q, ids)
+        ids = _sweep(pairs, s, q, ids)
+        ids.pop()  # the arrival state
     return ids
 
 
@@ -235,11 +225,11 @@ def _thread(m: MealyMachine, tup: tuple[int, ...], j: int) -> tuple[int, tuple[i
     """One letter through a tuple of states: the letter enters the first
     state, each output feeds the next state.  Returns (final output,
     successor tuple)."""
-    nxt, out = m._next, m._out
+    pairs, s = m._pairs, len(m.alphabet.symbols)
     res = []
     for q in tup:
-        res.append(nxt[q][j])
-        j = out[q][j]
+        j, n = pairs[q * s + j]
+        res.append(n)
     return j, tuple(res)
 
 
@@ -255,10 +245,11 @@ def _pair_reps(m: MealyMachine) -> tuple[tuple[int, int], ...]:
     """
     reps = m._reps
     if reps is None:
-        q = len(m.states)
-        # the identity pair table keeps every pair on level 2
-        identity = tuple(itertools.product(range(q), repeat=2))
-        *_, (pairs, outs, succs) = _levels(m, 2, identity)
+        q, s = len(m.states), len(m.alphabet)
+        pairs = list(itertools.product(range(q), repeat=2))
+        rows = [[_thread(m, p, j) for j in range(s)] for p in pairs]
+        outs = [tuple([o for o, _ in row]) for row in rows]
+        succs = [[a * q + b for _, (a, b) in row] for row in rows]
         least: dict = {}
         reps = tuple(least.setdefault(c, p) for p, c in zip(pairs, _refine(outs, succs)))
         m._reps = reps
@@ -271,10 +262,10 @@ def _reduce(m: MealyMachine, tup: tuple[int, ...]) -> tuple[int, ...]:
     lexicographically smaller, so the sweeps stop."""
     if len(tup) < 2:
         return tup
-    reps = _pair_reps(m)
+    reps, q = _pair_reps(m), len(m.states)
     w = list(tup)
-    while _sweep(reps, len(m.states), w):
-        pass
+    while (swept := _sweep(reps, q, w[0], w[1:])) != w:
+        w = swept
     return tuple(w)
 
 
@@ -349,14 +340,13 @@ def _refine(initial_keys: list, next_rows: list) -> list[int]:
         cls = new
 
 
-def _levels(m: MealyMachine, length: int, reps=None):
+def _levels(m: MealyMachine, length: int):
     """For k = 1 .. ``length``, the reduced state tuples of length k (those
-    whose adjacent pairs are all fixed by the pair table ``reps``, the
-    machine's representatives by default) in lexicographic order, with
-    their product-machine rows: ``outs[x][j]`` is the output of tuple x on
-    letter j, and ``succs[x][j]`` the position of a reduced tuple with the
-    action of its successor.  Every tuple reduces to one on its level, so
-    the levels meet every action class.
+    whose adjacent pairs are all representatives, see :func:`_pair_reps`)
+    in lexicographic order, with their product-machine rows: ``outs[x][j]``
+    is the output of tuple x on letter j, and ``succs[x][j]`` the position
+    of a reduced tuple with the action of its successor.  Every tuple
+    reduces to one on its level, so the levels meet every action class.
 
     The prefix of a reduced tuple is reduced, so level k + 1 is built from
     level k.  Letter j through t + (b,) first passes t, which outputs
@@ -366,20 +356,18 @@ def _levels(m: MealyMachine, length: int, reps=None):
     """
     if length < 1:
         return
-    q = len(m.states)
-    nxt, out = m._next, m._out
-    tuples = [(x,) for x in range(q)]
-    outs, succs = list(out), list(nxt)
+    q, s = len(m.states), len(m.alphabet)
+    out, nxt = zip(*m._pairs) if m._pairs else ((), ())
+    out = [out[x * s:(x + 1) * s] for x in range(q)]
+    nxt = [nxt[x * s:(x + 1) * s] for x in range(q)]
+    tuples, outs, succs = [(x,) for x in range(q)], out, nxt
     yield tuples, outs, succs
     for _ in range(length - 1):
-        if reps is None:
-            reps = _pair_reps(m)
+        reps = _pair_reps(m)
         level = [(r, b) for r, t in enumerate(tuples) for b in range(q)
                  if reps[t[-1] * q + b] == (t[-1], b)]
         prev, tuples = tuples, [tuples[r] + (b,) for r, b in level]
-        # position of the reduction of prev[r] + (b,), keyed r * q + b; with
-        # the identity table every extension is on the level, so a miss
-        # only happens with the machine's representatives
+        # position of the reduction of prev[r] + (b,), keyed r * q + b
         ext = {r * q + b: k for k, (r, b) in enumerate(level)}
         index = {t: k for k, t in enumerate(tuples)}
         new_outs, new_succs = [], []
@@ -454,26 +442,26 @@ def thurston_normalize(t: MealyMachine, w: Word, max_sweeps: int | None = None) 
     """Normalise by iterated sweeps of the sweeping transducer.
 
     One sweep starts in state w[0], feeds w[1:], and replaces the word by
-    the outputs followed by the arrival state; sweeps repeat until every
-    adjacent pair is fixed, which is when a sweep changes nothing.  The
-    default sweep budget is |w|**2.
+    the outputs followed by the arrival state; sweeps repeat until one
+    changes nothing, and the word must then be normal.  The default sweep
+    budget is |w|**2.
     """
-    pairs = t._sweep_pairs
-    if pairs is None:
+    if t.states is not t.alphabet and t.states != t.alphabet:
         raise GarnormError("sweeping requires a machine whose states are its letters")
     if len(w) == 0:
         raise GarnormError("cannot normalise the empty word")
     ids = list(t.alphabet.ids(w))
     budget = len(ids) ** 2 if max_sweeps is None else max_sweeps
-    g = len(t.alphabet)
+    pairs, g = t._pairs, len(t.alphabet)
     for _ in range(budget):
-        if not _sweep(pairs, g, ids):
+        swept = _sweep(pairs, g, ids[0], ids[1:])
+        if swept == ids:
             break
-    else:
-        if not _is_normal_ids(pairs, g, ids):
-            raise SweepBudgetExhausted(
-                f"word '{_word_from_ids(t.alphabet, ids)}' not normal after {budget} sweeps"
-            )
+        ids = swept
+    if not _is_normal_ids(pairs, g, ids):
+        raise SweepBudgetExhausted(
+            f"word '{_word_from_ids(t.alphabet, ids)}' not normal after {budget} sweeps"
+        )
     return _word_from_ids(t.alphabet, ids)
 
 

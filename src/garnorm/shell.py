@@ -16,7 +16,7 @@ machine::
 
 presentation::
 
-    atoms <name>+
+    atoms <name>+             # any name but EPS
     rel <word> = <word>       # words are space-separated atom names
     family <name> = <word|EPS>
 
@@ -56,6 +56,9 @@ from .core import (
 from .gallery import gallery
 from .greedy import PresentedMonoid, greedy_table, make_family, family_unit
 from .machines import MealyMachine, build_mealy, build_thurston, dual
+
+
+_EPS_RESERVED = "atom name 'EPS' is reserved for the empty representative"
 
 
 def _budget() -> int:
@@ -199,6 +202,8 @@ def parse_presentation(text: str, search_budget: int | None = None):
         head, rest = tokens[0], tokens[1:]
         if head == "atoms":
             atoms = _header(lineno, head, rest, atoms)
+            if "EPS" in atoms:
+                raise ParseError(lineno, _EPS_RESERVED)
             continue
         if atoms is None:
             raise ParseError(lineno, "the first directive must be 'atoms'")
@@ -264,6 +269,8 @@ def emit_machine(m: MealyMachine) -> str:
 
 
 def emit_presentation(monoid: PresentedMonoid, family=()) -> str:
+    if "EPS" in monoid.atoms:
+        raise GarnormError(_EPS_RESERVED)
     lines = ["atoms " + " ".join(monoid.atoms.names())]
     for lhs, rhs in monoid.relations:
         lines.append(f"rel {lhs} = {rhs}")
@@ -277,15 +284,19 @@ def export_dot(m: MealyMachine) -> str:
     """Deterministic DOT rendering: nodes sorted by name, one edge per
     (source, target) pair with its ``input|output`` labels merged in
     lexicographic order."""
+
+    def quoted(text: str) -> str:  # a DOT string, with \ and " escaped
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["digraph mealy {", "  rankdir=LR;"]
     for name in sorted(m.states.names()):
-        lines.append(f'  "{name}";')
+        lines.append(f"  {quoted(name)};")
     edges: dict[tuple[str, str], list[str]] = {}
     for q, i, nq, o in m.transitions():
         edges.setdefault((q.name, nq.name), []).append(f"{i.name}|{o.name}")
     for (src, dst) in sorted(edges):
-        label = ", ".join(sorted(edges[src, dst]))
-        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
+        label = quoted(", ".join(sorted(edges[src, dst])))
+        lines.append(f"  {quoted(src)} -> {quoted(dst)} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -164,13 +164,25 @@ def dict_rewrite_analysis(table: NormTable, max_len: int):
     return confl_all, dead_all
 
 
-def _thread(m, tup: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
+def transition_tables(m) -> tuple[list[list[int]], list[list[int]]]:
+    """Next-state and output arrays of a machine, ``nxt[q][i]`` and
+    ``out[q][i]``, read once through its public ``transitions`` listing."""
+    nxt = [[0] * len(m.alphabet) for _ in m.states]
+    out = [[0] * len(m.alphabet) for _ in m.states]
+    for q, i, nq, o in m.transitions():
+        nxt[q.id][i.id] = nq.id
+        out[q.id][i.id] = o.id
+    return nxt, out
+
+
+def _thread(tables, tup: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
     """Letter ``j`` through the states of ``tup`` in turn: (last output,
     next states)."""
+    nxt, out = tables
     res = []
     for q in tup:
-        res.append(m._next[q][j])
-        j = m._out[q][j]
+        res.append(nxt[q][j])
+        j = out[q][j]
     return j, tuple(res)
 
 
@@ -178,14 +190,15 @@ def bfs_distinguishing_word(m, u: Word, v: Word) -> Word | None:
     """Breadth-first bisimulation over every reachable pair of raw state
     tuples, letters tried in order: the shortlex-least input on which the
     actions of ``u`` and ``v`` differ, or None when they agree."""
+    tables = transition_tables(m)
     start = (m.states.ids(u), m.states.ids(v))
     parent = {start: None}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
         for j in range(len(m.alphabet)):
-            oa, na = _thread(m, cur[0], j)
-            ob, nb = _thread(m, cur[1], j)
+            oa, na = _thread(tables, cur[0], j)
+            ob, nb = _thread(tables, cur[1], j)
             if oa != ob:
                 letters = [j]
                 while parent[cur] is not None:
@@ -206,7 +219,8 @@ def product_action_class_ids(m, length: int) -> list[int]:
     q, s = len(m.states), len(m.alphabet)
     tuples = list(itertools.product(range(q), repeat=length))
     index = {t: k for k, t in enumerate(tuples)}
-    rows = [[_thread(m, t, j) for j in range(s)] for t in tuples]
+    tables = transition_tables(m)
+    rows = [[_thread(tables, t, j) for j in range(s)] for t in tuples]
     keys = [tuple(o for o, _ in row) for row in rows]
     succ = [[index[nt] for _, nt in row] for row in rows]
     cls: list[int] = []

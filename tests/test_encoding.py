@@ -4,13 +4,19 @@ encoding, checked on random machines and random idempotent tables.
 The dual is an involution, the machine file format round-trips, a run is
 a letter-by-letter walk of the public transitions, the Mealy machine of a
 table is the dual of its sweeping transducer, and sweeping a word with
-that transducer gives the table's own normal form.
+that transducer gives the table's own normal form.  A sweep that gives a
+word back unchanged has not always normalised it.
 """
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from garnorm import (
+    Alphabet,
     GarnormError,
+    NormTable,
+    NotNormalising,
+    SweepBudgetExhausted,
     Word,
     build_mealy,
     build_thurston,
@@ -51,3 +57,15 @@ def test_table_encoding_properties(table, letters):
     except GarnormError:
         return
     assert normalize(table, w) == swept
+
+
+def test_a_sweep_that_gives_the_word_back_need_not_normalise():
+    # idempotent: (a b) -> (a x) carries x, then (x e) -> (b e) puts b back,
+    # so every sweep of a b e returns a b e while a b is not fixed
+    al = Alphabet(("a", "b", "e", "x"))
+    t = NormTable(al, [(("a", "b"), ("a", "x")), (("x", "e"), ("b", "e"))])
+    w = al.word("a b e")
+    with pytest.raises(SweepBudgetExhausted):
+        thurston_normalize(build_thurston(t), w)
+    with pytest.raises(NotNormalising):
+        normalize(t, w)

@@ -32,7 +32,7 @@ from garnorm import (
     tuple_action_classes,
 )
 from garnorm.core import condition_home
-from helpers import bfs_distinguishing_word, product_action_class_ids
+from helpers import bfs_distinguishing_word, product_action_class_ids, transition_tables
 
 
 def gallery_cases():
@@ -202,7 +202,7 @@ def test_representatives_are_cached_outside_equality():
 
 def test_length_one_words_need_no_representatives():
     div3 = gallery("div3").machine
-    m = MealyMachine(div3.states, div3.alphabet, div3._next, div3._out)
+    m = MealyMachine(div3.states, div3.alphabet, *transition_tables(div3))
     assert distinguishing_word(m, m.states.word("0"), m.states.word("1")) is not None
     minimize(m)
     growth(m, 1)

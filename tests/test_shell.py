@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from garnorm import ParseError, gallery, gallery_tables
+from garnorm import Alphabet, GarnormError, ParseError, gallery, gallery_tables
+from garnorm.greedy import PresentedMonoid, make_family
 from garnorm.machines import build_mealy
 from garnorm.shell import (
     Report,
@@ -143,6 +144,20 @@ def test_presentation_bad_relation():
         parse_presentation("atoms a\nrel a =\n")
 
 
+def test_presentation_atom_named_eps_is_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_presentation("# EPS means the empty word\natoms a EPS\nfamily e = EPS\n")
+    assert err.value.line == 2
+    assert "'EPS' is reserved" in str(err.value)
+
+
+def test_emit_presentation_refuses_an_atom_named_eps():
+    monoid = PresentedMonoid(Alphabet(["EPS", "a"]), ())
+    family = make_family(monoid.atoms, [("e", "EPS"), ("1", "")])
+    with pytest.raises(GarnormError, match="'EPS' is reserved"):
+        emit_presentation(monoid, family)
+
+
 # ---------------------------------------------------------------------------
 # DOT export
 
@@ -165,6 +180,19 @@ def test_dot_identity_machine_merges_self_loop():
     edge_lines = [l for l in dot.splitlines() if "->" in l]
     assert len(edge_lines) == 1
     assert 'label="x|x, y|y"' in edge_lines[0]
+
+
+def test_dot_escapes_quotes_and_backslashes_in_names():
+    # B stands for a backslash
+    text = 'states q"1 pB\nalphabet xBy\ntrans q"1 xBy -> pB xBy\ntrans pB xBy -> pB xBy\n'
+    dot = export_dot(parse_machine(text.replace("B", "\\")))
+    assert dot.replace("\\", "B").splitlines()[2:] == [
+        '  "pBB";',
+        '  "qB"1";',
+        '  "pBB" -> "pBB" [label="xBBy|xBBy"];',
+        '  "qB"1" -> "pBB" [label="xBBy|xBBy"];',
+        "}",
+    ]
 
 
 def test_dot_bicyclic_mealy_label_count():
