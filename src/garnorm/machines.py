@@ -221,11 +221,11 @@ def run_word(m: MealyMachine, u: Word, w: Word) -> Word:
 # deciding action equality
 
 
-def _thread(m: MealyMachine, tup: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
-    """One letter through a tuple of states: the letter enters the first
-    state, each output feeds the next state.  Returns (final output,
-    successor tuple)."""
-    pairs, s = m._pairs, len(m.alphabet.symbols)
+def _thread(pairs, s: int, tup: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
+    """One letter through a tuple of states of the machine with pair table
+    ``pairs`` over s letters: the letter enters the first state, each
+    output feeds the next state.  Returns (final output, successor
+    tuple)."""
     res = []
     for q in tup:
         j, n = pairs[q * s + j]
@@ -245,9 +245,9 @@ def _pair_reps(m: MealyMachine) -> tuple[tuple[int, int], ...]:
     """
     reps = m._reps
     if reps is None:
-        q, s = len(m.states), len(m.alphabet)
+        q, s, table = len(m.states), len(m.alphabet), m._pairs
         pairs = list(itertools.product(range(q), repeat=2))
-        rows = [[_thread(m, p, j) for j in range(s)] for p in pairs]
+        rows = [[_thread(table, s, p, j) for j in range(s)] for p in pairs]
         outs = [tuple([o for o, _ in row]) for row in rows]
         succs = [[a * q + b for _, (a, b) in row] for row in rows]
         least: dict = {}
@@ -263,10 +263,9 @@ def _reduce(m: MealyMachine, tup: tuple[int, ...]) -> tuple[int, ...]:
     if len(tup) < 2:
         return tup
     reps, q = _pair_reps(m), len(m.states)
-    w = list(tup)
-    while (swept := _sweep(reps, q, w[0], w[1:])) != w:
-        w = swept
-    return tuple(w)
+    while (swept := tuple(_sweep(reps, q, tup[0], tup[1:]))) != tup:
+        tup = swept
+    return tup
 
 
 def distinguishing_word(m: MealyMachine, u: Word, v: Word) -> Word | None:
@@ -293,13 +292,13 @@ def distinguishing_word(m: MealyMachine, u: Word, v: Word) -> Word | None:
     seen = {start}
     parent: dict = {}
     queue = deque([start])
-    s = len(m.alphabet)
+    pairs, s = m._pairs, len(m.alphabet)
     while queue:
         cur = queue.popleft()
         a, b = cur
         for j in range(s):
-            oa, na = _thread(m, a, j)
-            ob, nb = _thread(m, b, j)
+            oa, na = _thread(pairs, s, a, j)
+            ob, nb = _thread(pairs, s, b, j)
             if oa != ob:
                 letters = [j]
                 p = cur
@@ -369,7 +368,7 @@ def _levels(m: MealyMachine, length: int):
         prev, tuples = tuples, [tuples[r] + (b,) for r, b in level]
         # position of the reduction of prev[r] + (b,), keyed r * q + b
         ext = {r * q + b: k for k, (r, b) in enumerate(level)}
-        index = {t: k for k, t in enumerate(tuples)}
+        index = None  # position of each tuple, built on the first miss
         new_outs, new_succs = [], []
         for r, b in level:
             ob, nb = out[b], nxt[b]
@@ -378,9 +377,11 @@ def _levels(m: MealyMachine, length: int):
                 key = sr * q + nb[o]
                 k = ext.get(key)
                 if k is None:
+                    if index is None:
+                        index = {t: k for k, t in enumerate(tuples)}
                     k = ext[key] = index[_reduce(m, prev[sr] + (nb[o],))]
                 row.append(k)
-            new_outs.append(tuple(ob[o] for o in outs[r]))
+            new_outs.append(tuple([ob[o] for o in outs[r]]))
             new_succs.append(row)
         outs, succs = new_outs, new_succs
         del prev, level, ext, index  # not needed while the caller refines
