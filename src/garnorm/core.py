@@ -508,13 +508,12 @@ def _sweep_normalize_ids(
     w = ids
     seen = {ids}
     for _ in range(n * n + n):
-        t = tuple(_sweep(pairs, g, w[0], w[1:]))
-        if t == w and _is_normal_ids(pairs, g, t):
-            return t
-        if t in seen:
+        if _is_normal_ids(pairs, g, w):
+            return w
+        w = tuple(_sweep(pairs, g, w[0], w[1:]))
+        if w in seen:
             break
-        seen.add(t)
-        w = t
+        seen.add(w)
     # Sweeps cycle: fall back to exhaustive search from the original word.
     normals, budget_hit = _reachable_normals(table, ids, node_budget)
     al = table.alphabet
