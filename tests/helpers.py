@@ -9,7 +9,18 @@ lengths are recomputed by value iteration over the whole word space.
 from collections import deque
 import itertools
 
-from garnorm import NormTable, Word
+from garnorm import (
+    Alphabet,
+    AmbiguousMaximum,
+    BudgetExhausted,
+    MissingUnit,
+    NoFactorisation,
+    NormTable,
+    Symbol,
+    Word,
+)
+from garnorm.core import _word_from_ids
+from garnorm.greedy import FamilyClosureReport, _search_for, family_unit
 
 
 def brute_normal_forms(table: NormTable, w: Word) -> set[Word]:
@@ -231,3 +242,166 @@ def product_action_class_ids(m, length: int) -> list[int]:
             return cls
         cls = new
         keys = [(cls[x], tuple(cls[y] for y in succ[x])) for x in range(len(tuples))]
+
+
+# ---------------------------------------------------------------------------
+# the greedy layer, one product at a time
+
+
+def all_pairs_factorisations(search, e: tuple[int, ...], reps, maxlen: int):
+    """Every index pair (c, d), in lexicographic order, whose product
+    reps[c] reps[d] lies in the class of ``e`` within the window
+    max(|e|, 2 * maxlen) + slack: all F**2 products tested one by one."""
+    cls = search.class_of(e, max(len(e), 2 * maxlen) + search.monoid.length_slack)
+    return [
+        (c, d)
+        for c in range(len(reps))
+        for d in range(len(reps))
+        if reps[c] + reps[d] in cls
+    ]
+
+
+def all_pairs_right_divisors(monoid, e: Word, family) -> set:
+    family = tuple(family)
+    reps = [f.rep.ids() for f in family]
+    maxlen = max((len(r) for r in reps), default=0)
+    pairs = all_pairs_factorisations(_search_for(monoid), monoid.atoms.ids(e), reps, maxlen)
+    return {family[d] for _, d in pairs}
+
+
+def pairwise_greedy_table(monoid, family, unit=None) -> NormTable:
+    """The greedy table with every pair's candidates, maxima and left parts
+    worked out afresh for that pair alone."""
+    family = tuple(family)
+    if unit is None:
+        unit = family_unit(family)
+    elif isinstance(unit, (str, Symbol)):
+        name = unit.name if isinstance(unit, Symbol) else unit
+        unit = next((f for f in family if f.name.name == name), None)
+    if unit is None or unit not in family or len(unit.rep) != 0:
+        raise MissingUnit(
+            "the family must contain the unit (one element with an empty representative)"
+        )
+    search = _search_for(monoid)
+    reps = [f.rep.ids() for f in family]
+    maxlen = max(len(r) for r in reps)
+
+    def divides(i: int, j: int) -> bool:
+        return search.divides(reps[i], reps[j])
+
+    rules = []
+    for xi, yi in itertools.product(range(len(family)), repeat=2):
+        candidates = all_pairs_factorisations(search, reps[xi] + reps[yi], reps, maxlen)
+        if not candidates:
+            raise NoFactorisation(
+                f"{family[xi].name} {family[yi].name} has no factorisation "
+                "into two family elements"
+            )
+        ds = []
+        for _, di in candidates:
+            if di not in ds:
+                ds.append(di)
+        maxima = [
+            d
+            for d in ds
+            if not any(d2 != d and divides(d, d2) and not divides(d2, d) for d2 in ds)
+        ]
+        if len(maxima) != 1:
+            names = ", ".join(str(family[d].name) for d in maxima)
+            raise AmbiguousMaximum(
+                f"pair ({family[xi].name} {family[yi].name}): no unique maximal "
+                f"right part among {{{names}}}"
+            )
+        dstar = maxima[0]
+        cs = [ci for ci, di in candidates if di == dstar]
+        if len(cs) != 1:
+            names = ", ".join(str(family[c].name) for c in cs)
+            raise AmbiguousMaximum(
+                f"pair ({family[xi].name} {family[yi].name}): right part "
+                f"{family[dstar].name} admits several left parts {{{names}}}"
+            )
+        if (cs[0], dstar) != (xi, yi):
+            rules.append(((xi, yi), (cs[0], dstar)))
+    alphabet = Alphabet(f.name.name for f in family)
+    syms = alphabet.symbols
+    table = NormTable(
+        alphabet,
+        [((syms[a], syms[b]), (syms[c], syms[d])) for (a, b), (c, d) in rules],
+        unit=unit.name.name,
+    )
+    table.require_idempotent()
+    return table
+
+
+def unmemoised_family_closure(monoid, family) -> FamilyClosureReport:
+    """The family closure check with every right-divisibility verdict asked
+    of the search afresh, however often the same question recurs."""
+    family = tuple(family)
+    report = FamilyClosureReport()
+    search = _search_for(monoid)
+    reps = {f: f.rep.ids() for f in family}
+    maxlen = max((len(r) for r in reps.values()), default=0)
+    window = 2 * maxlen + monoid.length_slack
+    atoms = monoid.atoms
+
+    def in_family(ids) -> bool:
+        return any(ids in search.class_of(r, max(len(ids), len(r)) + monoid.length_slack)
+                   for r in reps.values())
+
+    reported: list[frozenset] = []
+    for f in family:
+        try:
+            cls = search.class_of(reps[f], window)
+        except BudgetExhausted:
+            report.unknown.append(f"left divisors of {f.name}: budget exhausted")
+            continue
+        prefixes = sorted({w[:i] for w in cls for i in range(len(w) + 1) if i <= maxlen})
+        for p in prefixes:
+            try:
+                if in_family(p):
+                    continue
+                pcls = search.class_of(p, len(p) + monoid.length_slack)
+                if any(p in cl for cl in reported):
+                    continue
+                reported.append(pcls)
+                report.missing_left_divisors.append((f, _word_from_ids(atoms, p)))
+            except BudgetExhausted:
+                report.unknown.append(
+                    f"left divisor '{_word_from_ids(atoms, p)}' of {f.name}: budget exhausted"
+                )
+
+    pool = [
+        t
+        for n in range(maxlen + 1)
+        for t in itertools.product(range(len(atoms)), repeat=n)
+    ]
+    for f, g in itertools.combinations(family, 2):
+        try:
+            common = [
+                m
+                for m in pool
+                if search.right_divides(reps[f], m) and search.right_divides(reps[g], m)
+            ]
+            reported_m: list[frozenset] = []
+            for m in common:
+                proper = [
+                    m2
+                    for m2 in common
+                    if m2 != m
+                    and search.right_divides(m2, m)
+                    and not search.equal(m2, m)
+                ]
+                if proper:
+                    continue
+                if in_family(m):
+                    continue
+                mcls = search.class_of(m, len(m) + monoid.length_slack)
+                if any(m in cl for cl in reported_m):
+                    continue
+                reported_m.append(mcls)
+                report.missing_left_mcms.append((f, g, _word_from_ids(atoms, m)))
+        except BudgetExhausted:
+            report.unknown.append(
+                f"left-mcm of {f.name} and {g.name}: budget exhausted"
+            )
+    return report

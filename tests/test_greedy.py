@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from garnorm import (
     Alphabet,
@@ -10,6 +11,7 @@ from garnorm import (
     PresentedMonoid,
     Word,
     bounded_equal,
+    breadth,
     check_family_closure,
     condition_home,
     check_unit_condition,
@@ -20,6 +22,9 @@ from garnorm import (
     right_divisors,
     verify_normalisation,
 )
+from garnorm import greedy
+from garnorm.shell import emit_table
+from helpers import all_pairs_right_divisors, pairwise_greedy_table, unmemoised_family_closure
 
 
 def braid3_monoid(budget=100_000):
@@ -34,6 +39,31 @@ def braid3_family(monoid):
         monoid.atoms,
         [("1", ""), ("a", "a"), ("b", "b"), ("ab", "a b"), ("ba", "b a"), ("D", "a b a")],
     )
+
+
+def braid4_monoid():
+    atoms = Alphabet(("a", "b", "c"))
+    relations = (("a b a", "b a b"), ("b c b", "c b c"), ("a c", "c a"))
+    return PresentedMonoid(atoms, tuple((atoms.word(l), atoms.word(r)) for l, r in relations))
+
+
+def braid4_family(monoid):
+    """The 24 simple braids of B4+, each named by its first word in
+    breadth-first order; letter i swaps strands i and i + 1."""
+    def perm(word):
+        p = [0, 1, 2, 3]
+        for ch in word:
+            i = "abc".index(ch)
+            p[i], p[i + 1] = p[i + 1], p[i]
+        return tuple(p)
+
+    first = {perm(""): ""}
+    frontier = [""]
+    while frontier:
+        frontier = [w + ch for w in frontier for ch in "abc" if perm(w + ch) not in first
+                    and first.setdefault(perm(w + ch), w + ch) == w + ch]
+    words = sorted(first.values(), key=lambda w: (len(w), w))
+    return make_family(monoid.atoms, [(w or "1", " ".join(w)) for w in words])
 
 
 def bs10_monoid():
@@ -171,6 +201,17 @@ def test_greedy_braid3_pinned_entries():
     assert condition_home(table)
 
 
+def test_greedy_braid4_simple_braids():
+    M = braid4_monoid()
+    fam = braid4_family(M)
+    assert len(fam) == 24 and fam[-1].name.name == "abacba"
+    table = greedy_table(M, fam)
+    assert not table.idempotence_failures()
+    b = breadth(table)
+    assert (b.d, b.p) == (3, 3) and condition_home(table)
+    assert verify_normalisation(table, 4).ok
+
+
 def test_greedy_unit_required():
     M = braid3_monoid()
     fam = make_family(M.atoms, [("a", "a"), ("b", "b")])
@@ -262,3 +303,54 @@ def test_family_closure_trivial_monoid():
     M = PresentedMonoid(atoms, ())
     fam = make_family(atoms, [("1", "")])
     assert check_family_closure(M, fam).ok
+
+
+# ---------------------------------------------------------------------------
+# against the pair-by-pair oracles
+
+
+@st.composite
+def presentations_with_families(draw):
+    """2-3 atoms, 1-2 relations with sides of length 1-3, and a family of
+    2-6 words of length 1-3 plus the unit."""
+    n = draw(st.integers(2, 3))
+    atoms = Alphabet("abc"[:n])
+    word = st.lists(st.sampled_from(atoms.names()), min_size=1, max_size=3).map(" ".join)
+    relations = draw(st.lists(st.tuples(word, word), min_size=1, max_size=2))
+    reps = draw(st.lists(word, min_size=2, max_size=6))
+    entries = [("1", "")] + [(f"f{i}", rep) for i, rep in enumerate(reps)]
+    extra = draw(st.lists(st.sampled_from(atoms.names()), max_size=4).map(" ".join))
+    return atoms, relations, entries, extra
+
+
+def outcome(call, *args):
+    """The answer of a fresh search, or the type and text of its error."""
+    greedy._search_for.cache_clear()
+    try:
+        return call(*args)
+    except GarnormError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(presentations_with_families())
+def test_greedy_layer_matches_pairwise_oracles(case):
+    atoms, relations, entries, extra = case
+    emitted = lambda table_of: lambda *args: emit_table(table_of(*args))
+    for budget in (30, 300, 100_000):
+        M = PresentedMonoid(
+            atoms,
+            tuple((atoms.word(l), atoms.word(r)) for l, r in relations),
+            search_budget=budget,
+        )
+        fam = make_family(atoms, entries)
+        assert outcome(emitted(greedy_table), M, fam) == outcome(
+            emitted(pairwise_greedy_table), M, fam
+        )
+        for e in [f.rep for f in fam] + [atoms.word(extra) if extra else Word()]:
+            assert outcome(right_divisors, M, e, fam) == outcome(
+                all_pairs_right_divisors, M, e, fam
+            )
+        assert outcome(check_family_closure, M, fam) == outcome(
+            unmemoised_family_closure, M, fam
+        )
