@@ -119,7 +119,10 @@ class UnknownName(GarnormError):
 
 
 class NoFactorisation(GarnormError):
-    """A product admits no factorisation into two family elements."""
+    """A product admits no factorisation into two family elements.
+
+    ``greedy_table`` no longer raises it: every product rep(x) rep(y) has
+    the factorisation (x, y) itself."""
 
 
 class AmbiguousMaximum(GarnormError):

@@ -11,6 +11,11 @@ Equality of words is decided by a budgeted closure search over the
 presentation's relations, applied in both directions at every position.
 Length-changing relations are explored up to a configured length slack,
 and exhausting the budget raises an error rather than guessing.
+
+The greedy table works out one entry per class of products rather than
+one per pair: every pair whose product words are equal shares its
+candidates, its maximal right parts and the left parts of the chosen one.
+The closure check keeps its right-divisibility verdicts for one call.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .core import (
     DEFAULT_NODE_BUDGET,
     GarnormError,
     MissingUnit,
-    NoFactorisation,
     NormTable,
     Symbol,
     Word,
@@ -98,7 +102,8 @@ class _Search:
     ``class_of(word, window)`` is the set of words of length <= window
     reachable by relation replacements; it is the equivalence class cut to
     the window whenever no connecting path needs longer intermediates.
-    Closures and divisibility verdicts are memoised.
+    Closures and two-sided divisibility verdicts are memoised for the life
+    of the search.
     """
 
     def __init__(self, monoid: PresentedMonoid):
@@ -195,19 +200,34 @@ def bounded_equal(monoid: PresentedMonoid, u: Word, v: Word) -> bool:
 # divisibility and the greedy table
 
 
+def _products(reps: list[tuple[int, ...]]) -> dict:
+    """Each product word reps[c] reps[d], mapped to its index pairs (c, d)
+    in lexicographic order."""
+    by_word: dict = {}
+    for c, rc in enumerate(reps):
+        for d, rd in enumerate(reps):
+            by_word.setdefault(rc + rd, []).append((c, d))
+    return by_word
+
+
+def _class_products(
+    search: _Search, e: tuple[int, ...], by_word: dict, maxlen: int
+) -> list[tuple[int, ...]]:
+    """The product words of ``by_word`` equal to ``e`` within the window
+    max(|e|, 2 * maxlen) + slack, found by walking the class or the
+    products, whichever is smaller; ``maxlen`` is the length of the
+    longest rep."""
+    cls = search.class_of(e, max(len(e), 2 * maxlen) + search.monoid.length_slack)
+    small, big = (cls, by_word) if len(cls) <= len(by_word) else (by_word, cls)
+    return [w for w in small if w in big]
+
+
 def _factorisations(
-    search: _Search, e: tuple[int, ...], reps: list[tuple[int, ...]], maxlen: int
+    search: _Search, e: tuple[int, ...], by_word: dict, maxlen: int
 ) -> list[tuple[int, int]]:
     """Index pairs (c, d), in lexicographic order, with reps[c] reps[d]
-    equal to ``e`` within the window max(|e|, 2 * maxlen) + slack;
-    ``maxlen`` is the length of the longest rep."""
-    cls = search.class_of(e, max(len(e), 2 * maxlen) + search.monoid.length_slack)
-    return [
-        (c, d)
-        for c in range(len(reps))
-        for d in range(len(reps))
-        if reps[c] + reps[d] in cls
-    ]
+    equal to ``e`` within the window max(|e|, 2 * maxlen) + slack."""
+    return sorted(p for w in _class_products(search, e, by_word, maxlen) for p in by_word[w])
 
 
 def right_divisors(monoid: PresentedMonoid, e: Word, family) -> set[FamilyElement]:
@@ -215,7 +235,7 @@ def right_divisors(monoid: PresentedMonoid, e: Word, family) -> set[FamilyElemen
     family = tuple(family)
     reps = [f.rep.ids() for f in family]
     maxlen = max((len(r) for r in reps), default=0)
-    pairs = _factorisations(_search_for(monoid), monoid.atoms.ids(e), reps, maxlen)
+    pairs = _factorisations(_search_for(monoid), monoid.atoms.ids(e), _products(reps), maxlen)
     return {family[d] for _, d in pairs}
 
 
@@ -227,6 +247,17 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
     whose right part is the unique divisibility-maximal one.  Incomparable
     maxima, ties, or several left parts for the chosen right part raise
     :class:`AmbiguousMaximum`.  The result is checked for pair idempotence.
+
+    Every product has length at most 2 * maxlen, so every product's class
+    is taken in the one window 2 * maxlen + slack.  Relations apply in both
+    directions, so the classes in one window partition its words, and a
+    class reached from any of its words is the same set.  The candidates of
+    (x, y), their maximal right parts and the left parts of the chosen one
+    therefore depend only on the class of rep(x) rep(y): they are worked
+    out when the first pair of a class is reached, in product order, and
+    shared by every product word of that class.  A class whose entry fails
+    raises at its first pair, as a pair-by-pair construction would, with
+    that pair's names.
     """
     family = tuple(family)
     if unit is None:
@@ -247,23 +278,29 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
     def divides(i: int, j: int) -> bool:
         return search.divides(reps[i], reps[j])
 
+    by_word = _products(reps)
+    # product word -> (maximal right parts, left parts of the sole maximum)
+    entries: dict = {}
     rules = []
     for xi, yi in itertools.product(range(len(family)), repeat=2):
-        candidates = _factorisations(search, reps[xi] + reps[yi], reps, maxlen)
-        if not candidates:
-            raise NoFactorisation(
-                f"{family[xi].name} {family[yi].name} has no factorisation "
-                "into two family elements"
-            )
-        ds = []
-        for _, di in candidates:
-            if di not in ds:
-                ds.append(di)
-        maxima = [
-            d
-            for d in ds
-            if not any(d2 != d and divides(d, d2) and not divides(d2, d) for d2 in ds)
-        ]
+        entry = entries.get(reps[xi] + reps[yi])
+        if entry is None:
+            # (x, y) is one of its own candidates: the class keeps its
+            # start word, so the list is never empty
+            words = _class_products(search, reps[xi] + reps[yi], by_word, maxlen)
+            candidates = sorted(p for w in words for p in by_word[w])
+            ds = list(dict.fromkeys(d for _, d in candidates))
+            maxima = [
+                d
+                for d in ds
+                if not any(d2 != d and divides(d, d2) and not divides(d2, d) for d2 in ds)
+            ]
+            # the left parts of the sole maximum; a window-limited divides
+            # need not be transitive, so there may be no maximum at all
+            cs = [c for c, d in candidates if [d] == maxima]
+            entry = (maxima, cs)
+            entries.update(dict.fromkeys(words, entry))
+        maxima, cs = entry
         if len(maxima) != 1:
             names = ", ".join(str(family[d].name) for d in maxima)
             raise AmbiguousMaximum(
@@ -271,7 +308,6 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
                 f"right part among {{{names}}}"
             )
         dstar = maxima[0]
-        cs = [ci for ci, di in candidates if di == dstar]
         if len(cs) != 1:
             names = ", ".join(str(family[c].name) for c in cs)
             raise AmbiguousMaximum(
@@ -321,6 +357,15 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
     family = tuple(family)
     report = FamilyClosureReport()
     search = _search_for(monoid)
+    verdicts: dict = {}
+
+    def right_divides(r1: tuple[int, ...], r2: tuple[int, ...]) -> bool:
+        key = (r1, r2)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = search.right_divides(r1, r2)
+        return verdict
+
     reps = {f: f.rep.ids() for f in family}
     maxlen = max((len(r) for r in reps.values()), default=0)
     window = 2 * maxlen + monoid.length_slack
@@ -360,19 +405,16 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
         for t in itertools.product(range(len(atoms)), repeat=n)
     ]
     for f, g in itertools.combinations(family, 2):
+        rf, rg = reps[f], reps[g]
         try:
-            common = [
-                m
-                for m in pool
-                if search.right_divides(reps[f], m) and search.right_divides(reps[g], m)
-            ]
+            common = [m for m in pool if right_divides(rf, m) and right_divides(rg, m)]
             reported_m: list[frozenset] = []
             for m in common:
                 proper = [
                     m2
                     for m2 in common
                     if m2 != m
-                    and search.right_divides(m2, m)
+                    and right_divides(m2, m)
                     and not search.equal(m2, m)
                 ]
                 if proper:

@@ -273,6 +273,21 @@ def test_greedy_free_commutative_with_full_family():
     assert condition_home(table)
 
 
+def test_greedy_no_maximum_left_by_a_non_transitive_divides(monkeypatch):
+    # a window-limited divides need not be transitive; with a cycle
+    # a < b < ab < a above the unit, the right parts of ab have no maximum,
+    # and the class of ab is first reached at the pair (1, ab)
+    M = free_commutative_monoid()
+    fam = make_family(M.atoms, [("1", ""), ("a", "a"), ("b", "b"), ("ab", "a b")])
+    above = {(0,): (1,), (1,): (0, 1), (0, 1): (0,)}
+    monkeypatch.setattr(
+        greedy._Search, "divides", lambda self, r1, r2: r1 in ((), r2) or above[r1] == r2
+    )
+    for build in (greedy_table, pairwise_greedy_table):
+        with pytest.raises(AmbiguousMaximum, match=r"^pair \(1 ab\): .* among \{\}$"):
+            build(M, fam, fam[0])
+
+
 def test_greedy_budget_propagates():
     M = braid3_monoid(budget=3)
     fam = braid3_family(M)
