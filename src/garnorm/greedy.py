@@ -210,24 +210,16 @@ def _products(reps: list[tuple[int, ...]]) -> dict:
     return by_word
 
 
-def _class_products(
-    search: _Search, e: tuple[int, ...], by_word: dict, maxlen: int
-) -> list[tuple[int, ...]]:
-    """The product words of ``by_word`` equal to ``e`` within the window
-    max(|e|, 2 * maxlen) + slack, found by walking the class or the
-    products, whichever is smaller; ``maxlen`` is the length of the
-    longest rep."""
-    cls = search.class_of(e, max(len(e), 2 * maxlen) + search.monoid.length_slack)
-    small, big = (cls, by_word) if len(cls) <= len(by_word) else (by_word, cls)
-    return [w for w in small if w in big]
-
-
 def _factorisations(
     search: _Search, e: tuple[int, ...], by_word: dict, maxlen: int
 ) -> list[tuple[int, int]]:
     """Index pairs (c, d), in lexicographic order, with reps[c] reps[d]
-    equal to ``e`` within the window max(|e|, 2 * maxlen) + slack."""
-    return sorted(p for w in _class_products(search, e, by_word, maxlen) for p in by_word[w])
+    equal to ``e`` within the window max(|e|, 2 * maxlen) + slack;
+    ``by_word`` is ``_products(reps)`` and ``maxlen`` the length of the
+    longest rep.  Walks the class or the products, whichever is smaller."""
+    cls = search.class_of(e, max(len(e), 2 * maxlen) + search.monoid.length_slack)
+    small, big = (cls, by_word) if len(cls) <= len(by_word) else (by_word, cls)
+    return sorted(p for w in small if w in big for p in by_word[w])
 
 
 def right_divisors(monoid: PresentedMonoid, e: Word, family) -> set[FamilyElement]:
@@ -287,8 +279,7 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
         if entry is None:
             # (x, y) is one of its own candidates: the class keeps its
             # start word, so the list is never empty
-            words = _class_products(search, reps[xi] + reps[yi], by_word, maxlen)
-            candidates = sorted(p for w in words for p in by_word[w])
+            candidates = _factorisations(search, reps[xi] + reps[yi], by_word, maxlen)
             ds = list(dict.fromkeys(d for _, d in candidates))
             maxima = [
                 d
@@ -299,7 +290,7 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
             # need not be transitive, so there may be no maximum at all
             cs = [c for c, d in candidates if [d] == maxima]
             entry = (maxima, cs)
-            entries.update(dict.fromkeys(words, entry))
+            entries.update(dict.fromkeys((reps[c] + reps[d] for c, d in candidates), entry))
         maxima, cs = entry
         if len(maxima) != 1:
             names = ", ".join(str(family[d].name) for d in maxima)
@@ -410,6 +401,8 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
             common = [m for m in pool if right_divides(rf, m) and right_divides(rg, m)]
             reported_m: list[frozenset] = []
             for m in common:
+                # a list, not any(): every verdict is asked, in order, so a
+                # budget error surfaces whichever m2 would have settled it
                 proper = [
                     m2
                     for m2 in common
