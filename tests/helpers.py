@@ -245,7 +245,9 @@ def product_action_class_ids(m, length: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the greedy layer, one product at a time
+# the greedy layer, one product at a time: these share the library's
+# word-problem closure and differ only in how products, table entries and
+# divisibility verdicts are enumerated
 
 
 def all_pairs_factorisations(search, e: tuple[int, ...], reps, maxlen: int):

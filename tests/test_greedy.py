@@ -60,8 +60,13 @@ def braid4_family(monoid):
     first = {perm(""): ""}
     frontier = [""]
     while frontier:
-        frontier = [w + ch for w in frontier for ch in "abc" if perm(w + ch) not in first
-                    and first.setdefault(perm(w + ch), w + ch) == w + ch]
+        grown = []
+        for w in frontier:
+            for ch in "abc":
+                if perm(w + ch) not in first:
+                    first[perm(w + ch)] = w + ch
+                    grown.append(w + ch)
+        frontier = grown
     words = sorted(first.values(), key=lambda w: (len(w), w))
     return make_family(monoid.atoms, [(w or "1", " ".join(w)) for w in words])
 
@@ -352,13 +357,13 @@ def outcome(call, *args):
 def test_greedy_layer_matches_pairwise_oracles(case):
     atoms, relations, entries, extra = case
     emitted = lambda table_of: lambda *args: emit_table(table_of(*args))
+    fam = make_family(atoms, entries)
     for budget in (30, 300, 100_000):
         M = PresentedMonoid(
             atoms,
             tuple((atoms.word(l), atoms.word(r)) for l, r in relations),
             search_budget=budget,
         )
-        fam = make_family(atoms, entries)
         assert outcome(emitted(greedy_table), M, fam) == outcome(
             emitted(pairwise_greedy_table), M, fam
         )
