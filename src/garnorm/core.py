@@ -844,10 +844,21 @@ def breadth(table: NormTable, cap: int = 64) -> Breadth:
     )
 
 
+def home_failures(b: Breadth, cap: int) -> list[str]:
+    """Why the breadth ``b``, measured at ``cap``, breaks d <= 4 and
+    p <= 3 (empty = holds)."""
+    reasons = []
+    for name, value, witness, bound in (("d", b.d, b.d_witness, 4), ("p", b.p, b.p_witness, 3)):
+        if not isinstance(value, int):
+            reasons.append(f"{name} unbounded at cap {cap} (witness {witness})")
+        elif value > bound:
+            reasons.append(f"{name}={value} exceeds {bound}")
+    return reasons
+
+
 def condition_home(table: NormTable, cap: int = 64) -> bool:
     """True iff the breadth is finite with d <= 4 and p <= 3."""
-    b = breadth(table, cap=cap)
-    return b.finite and b.d <= 4 and b.p <= 3
+    return not home_failures(breadth(table, cap=cap), cap)
 
 
 # ---------------------------------------------------------------------------

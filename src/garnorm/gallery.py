@@ -26,18 +26,6 @@ from .core import Alphabet, NormTable, UnknownName
 from .greedy import PresentedMonoid, greedy_table, make_family
 from .machines import MealyMachine
 
-BASE_NAMES = (
-    "bicyclic",
-    "bs10",
-    "bs32",
-    "plactic2",
-    "malcev",
-    "braid3",
-    "div3",
-    "mul2",
-)
-
-
 @dataclass(frozen=True)
 class GalleryEntry:
     """One named instance: at least one of table / machine / presentation,
@@ -318,6 +306,7 @@ _BUILDERS = {
     "div3": _div3,
     "mul2": _mul2,
 }
+BASE_NAMES = tuple(_BUILDERS)
 
 
 @lru_cache(maxsize=None)
@@ -336,7 +325,8 @@ def gallery(name: str) -> GalleryEntry:
 
 def gallery_tables() -> tuple[GalleryEntry, ...]:
     """Every shipped entry that carries a normalisation table."""
-    names = [n for n in BASE_NAMES if n not in ("div3", "mul2")]
+    machines = {e.name for e in gallery_machines()}
+    names = [n for n in BASE_NAMES if n not in machines]
     names += ["finite:Z/2", "finite:Z/3"]
     return tuple(gallery(n) for n in names)
 

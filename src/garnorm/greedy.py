@@ -3,9 +3,10 @@
 Given a monoid presentation and a family of named elements containing the
 unit, the greedy construction builds a normalisation table over the family
 names: the image of a pair (x, y) is the factorisation c * d of the product
-whose right part d is divisibility-maximal among all two-element
-factorisations.  For well-behaved families (generating, closed under
-left divisors and left-mcms) the resulting table has bounded breadth.
+whose right part d is maximal for two-sided (factor) divisibility among
+all two-element factorisations.  For well-behaved families (generating,
+closed under left divisors and left-mcms) the resulting table has bounded
+breadth.
 
 Equality of words is decided by a budgeted closure search over the
 presentation's relations, applied in both directions at every position.
@@ -15,7 +16,8 @@ and exhausting the budget raises an error rather than guessing.
 The greedy table works out one entry per class of products rather than
 one per pair: every pair whose product words are equal shares its
 candidates, its maximal right parts and the left parts of the chosen one.
-The closure check keeps its right-divisibility verdicts for one call.
+The search keeps its divisibility verdicts as long as its closures, so
+repeated closure checks on one presentation ask each question once.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ class _Search:
     ``class_of(word, window)`` is the set of words of length <= window
     reachable by relation replacements; it is the equivalence class cut to
     the window whenever no connecting path needs longer intermediates.
-    Closures and two-sided divisibility verdicts are memoised for the life
-    of the search.
+    Closures and both divisibility verdicts, two-sided and right, are
+    memoised for the life of the search; a question stopped by
+    :class:`BudgetExhausted` is never stored.
     """
 
     def __init__(self, monoid: PresentedMonoid):
@@ -115,6 +118,7 @@ class _Search:
         self._rules = rules
         self._classes: dict = {}
         self._divides: dict = {}
+        self._right_divides: dict = {}
 
     def class_of(self, word: tuple[int, ...], window: int) -> frozenset:
         key = (word, window)
@@ -172,12 +176,19 @@ class _Search:
 
     def right_divides(self, r1: tuple[int, ...], r2: tuple[int, ...]) -> bool:
         """Does some word equal to ``r2`` end with a word equal to ``r1``?"""
+        key = (r1, r2)
+        cached = self._right_divides.get(key)
+        if cached is not None:
+            return cached
         window = max(len(r1), len(r2)) + self.monoid.length_slack
         cls1 = self.class_of(r1, window)
+        verdict = False
         for w in self.class_of(r2, window):
             if any(w[i:] in cls1 for i in range(len(w) + 1)):
-                return True
-        return False
+                verdict = True
+                break
+        self._right_divides[key] = verdict
+        return verdict
 
 
 @lru_cache(maxsize=None)
@@ -236,7 +247,8 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
 
     For each ordered pair (x, y), every factorisation of rep(x) * rep(y)
     into two family elements is a candidate; the entry is the candidate
-    whose right part is the unique divisibility-maximal one.  Incomparable
+    whose right part is the unique maximal one for two-sided (factor)
+    divisibility, as :meth:`_Search.divides` decides it.  Incomparable
     maxima, ties, or several left parts for the chosen right part raise
     :class:`AmbiguousMaximum`.  The result is checked for pair idempotence.
 
@@ -348,42 +360,36 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
     family = tuple(family)
     report = FamilyClosureReport()
     search = _search_for(monoid)
-    verdicts: dict = {}
-
-    def right_divides(r1: tuple[int, ...], r2: tuple[int, ...]) -> bool:
-        key = (r1, r2)
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = verdicts[key] = search.right_divides(r1, r2)
-        return verdict
-
-    reps = {f: f.rep.ids() for f in family}
-    maxlen = max((len(r) for r in reps.values()), default=0)
+    right_divides = search.right_divides
+    reps = [f.rep.ids() for f in family]
+    maxlen = max((len(r) for r in reps), default=0)
     window = 2 * maxlen + monoid.length_slack
     atoms = monoid.atoms
 
-    def in_family(ids) -> bool:
-        return any(ids in search.class_of(r, max(len(ids), len(r)) + monoid.length_slack)
-                   for r in reps.values())
+    def unreported(w, reported: list[frozenset]) -> bool:
+        """Is ``w`` equal to no family element and outside every class in
+        ``reported``?  If so, its class joins ``reported``."""
+        if any(search.equal(r, w) for r in reps):
+            return False
+        cls = search.class_of(w, len(w) + monoid.length_slack)
+        if any(w in cl for cl in reported):
+            return False
+        reported.append(cls)
+        return True
 
     # left divisors: prefixes of any word equal to a representative
     reported: list[frozenset] = []
-    for f in family:
+    for f, rf in zip(family, reps):
         try:
-            cls = search.class_of(reps[f], window)
+            cls = search.class_of(rf, window)
         except BudgetExhausted:
             report.unknown.append(f"left divisors of {f.name}: budget exhausted")
             continue
         prefixes = sorted({w[:i] for w in cls for i in range(len(w) + 1) if i <= maxlen})
         for p in prefixes:
             try:
-                if in_family(p):
-                    continue
-                pcls = search.class_of(p, len(p) + monoid.length_slack)
-                if any(p in cl for cl in reported):
-                    continue
-                reported.append(pcls)
-                report.missing_left_divisors.append((f, _word_from_ids(atoms, p)))
+                if unreported(p, reported):
+                    report.missing_left_divisors.append((f, _word_from_ids(atoms, p)))
             except BudgetExhausted:
                 report.unknown.append(
                     f"left divisor '{_word_from_ids(atoms, p)}' of {f.name}: budget exhausted"
@@ -395,8 +401,7 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
         for n in range(maxlen + 1)
         for t in itertools.product(range(len(atoms)), repeat=n)
     ]
-    for f, g in itertools.combinations(family, 2):
-        rf, rg = reps[f], reps[g]
+    for (f, rf), (g, rg) in itertools.combinations(zip(family, reps), 2):
         try:
             common = [m for m in pool if right_divides(rf, m) and right_divides(rg, m)]
             reported_m: list[frozenset] = []
@@ -410,15 +415,8 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
                     and right_divides(m2, m)
                     and not search.equal(m2, m)
                 ]
-                if proper:
-                    continue  # not minimal
-                if in_family(m):
-                    continue
-                mcls = search.class_of(m, len(m) + monoid.length_slack)
-                if any(m in cl for cl in reported_m):
-                    continue
-                reported_m.append(mcls)
-                report.missing_left_mcms.append((f, g, _word_from_ids(atoms, m)))
+                if not proper and unreported(m, reported_m):  # minimal, new class
+                    report.missing_left_mcms.append((f, g, _word_from_ids(atoms, m)))
         except BudgetExhausted:
             report.unknown.append(
                 f"left-mcm of {f.name} and {g.name}: budget exhausted"

@@ -487,15 +487,7 @@ def _cmd_breadth(args) -> int:
 def _cmd_home(args) -> int:
     table = _load_table(args.table)
     b = core.breadth(table, cap=args.cap)
-    reasons = []
-    if not isinstance(b.d, int):
-        reasons.append(f"d unbounded at cap {args.cap} (witness {b.d_witness})")
-    elif b.d > 4:
-        reasons.append(f"d={b.d} exceeds 4")
-    if not isinstance(b.p, int):
-        reasons.append(f"p unbounded at cap {args.cap} (witness {b.p_witness})")
-    elif b.p > 3:
-        reasons.append(f"p={b.p} exceeds 3")
+    reasons = core.home_failures(b, args.cap)
     verdict = not reasons
     _print_report(
         args,

@@ -336,8 +336,9 @@ def pairwise_greedy_table(monoid, family, unit=None) -> NormTable:
 
 
 def unmemoised_family_closure(monoid, family) -> FamilyClosureReport:
-    """The family closure check with every right-divisibility verdict asked
-    of the search afresh, however often the same question recurs."""
+    """The family closure check with no memo of its own: every
+    right-divisibility question goes to the search each time it recurs,
+    and the membership test and report loops are written out twice."""
     family = tuple(family)
     report = FamilyClosureReport()
     search = _search_for(monoid)

@@ -293,6 +293,37 @@ def test_greedy_no_maximum_left_by_a_non_transitive_divides(monkeypatch):
             build(M, fam, fam[0])
 
 
+# the divisibility order is two-sided (factor) divisibility; on these two
+# presentations right divisibility would answer otherwise
+
+
+def test_greedy_two_sided_order_builds_where_right_order_is_ambiguous():
+    # bb divides bab = bba as a factor but not on the right, so under right
+    # divisibility the right parts bab and bb of bab bb are incomparable
+    atoms = Alphabet(("a", "b"))
+    M = PresentedMonoid(atoms, ((atoms.word("b a b"), atoms.word("b b a")),))
+    fam = make_family(atoms, [("1", ""), ("bab", "b a b"), ("bb", "b b")])
+    for build in (greedy_table, pairwise_greedy_table):
+        table = build(M, fam)
+        al = table.alphabet
+        assert table.entry("bab", "bb") == (al["bb"], al["bab"])
+        assert verify_normalisation(table, 5).ok and condition_home(table)
+
+
+def test_greedy_two_sided_order_refuses_what_right_order_builds():
+    # with a = bab, ba and bab divide each other as factors; right
+    # divisibility ranks them and builds a table that fails check
+    atoms = Alphabet(("a", "b"))
+    M = PresentedMonoid(atoms, ((atoms.word("a"), atoms.word("b a b")),))
+    fam = make_family(atoms, [("1", ""), ("ba", "b a"), ("b", "b"), ("bab", "b a b")])
+    for build in (greedy_table, pairwise_greedy_table):
+        with pytest.raises(
+            AmbiguousMaximum,
+            match=r"^pair \(1 ba\): no unique maximal right part among \{ba, bab\}$",
+        ):
+            build(M, fam)
+
+
 def test_greedy_budget_propagates():
     M = braid3_monoid(budget=3)
     fam = braid3_family(M)
@@ -343,9 +374,11 @@ def presentations_with_families(draw):
     return atoms, relations, entries, extra
 
 
-def outcome(call, *args):
-    """The answer of a fresh search, or the type and text of its error."""
-    greedy._search_for.cache_clear()
+def outcome(call, *args, fresh=True):
+    """The answer of a fresh search (or, unless ``fresh``, of the search
+    as earlier calls left it), or the type and text of its error."""
+    if fresh:
+        greedy._search_for.cache_clear()
     try:
         return call(*args)
     except GarnormError as exc:
@@ -371,6 +404,8 @@ def test_greedy_layer_matches_pairwise_oracles(case):
             assert outcome(right_divisors, M, e, fam) == outcome(
                 all_pairs_right_divisors, M, e, fam
             )
-        assert outcome(check_family_closure, M, fam) == outcome(
-            unmemoised_family_closure, M, fam
-        )
+        closure = outcome(check_family_closure, M, fam)
+        # asked again of the warm search: no question stopped by the budget
+        # was kept as a verdict
+        assert outcome(check_family_closure, M, fam, fresh=False) == closure
+        assert closure == outcome(unmemoised_family_closure, M, fam)
