@@ -356,6 +356,13 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
     representative; common left-multiples are sought among atom words no
     longer than the longest representative.  Advisory only: the greedy
     construction does not require a passing report.
+
+    The scan for a proper right divisor of a common multiple m stops at the
+    first one: that True verdict is a witness whatever the verdicts not yet
+    asked would say, and m is minimal only when all are asked and False, so
+    a budget error before any witness still labels the pair unknown.  The
+    scan asks a prefix of a full scan's questions, in order: only a pair a
+    full scan labels unknown after its answer was settled reads otherwise.
     """
     family = tuple(family)
     report = FamilyClosureReport()
@@ -406,16 +413,11 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
             common = [m for m in pool if right_divides(rf, m) and right_divides(rg, m)]
             reported_m: list[frozenset] = []
             for m in common:
-                # a list, not any(): every verdict is asked, in order, so a
-                # budget error surfaces whichever m2 would have settled it
-                proper = [
-                    m2
+                minimal = not any(
+                    m2 != m and right_divides(m2, m) and not search.equal(m2, m)
                     for m2 in common
-                    if m2 != m
-                    and right_divides(m2, m)
-                    and not search.equal(m2, m)
-                ]
-                if not proper and unreported(m, reported_m):  # minimal, new class
+                )
+                if minimal and unreported(m, reported_m):  # new class
                     report.missing_left_mcms.append((f, g, _word_from_ids(atoms, m)))
         except BudgetExhausted:
             report.unknown.append(

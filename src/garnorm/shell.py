@@ -37,6 +37,7 @@ also understood, and ``--compact`` forces that reading.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -409,7 +410,8 @@ def _load_machine(source: str) -> MealyMachine:
 
 def _load_presentation(source: str):
     if source.startswith("gallery:"):
-        return _gallery_part(source[len("gallery:") :], "presentation")
+        monoid, family, unit = _gallery_part(source[len("gallery:") :], "presentation")
+        return dataclasses.replace(monoid, search_budget=_budget()), family, unit
     return parse_presentation(_read(source), search_budget=_budget())
 
 

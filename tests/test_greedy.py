@@ -349,6 +349,39 @@ def test_family_closure_missing_left_divisor():
     assert "a" in missing
 
 
+def test_family_closure_missing_left_mcm():
+    # in N^2 the left-mcm of a and b is ab = ba, which the family lacks
+    M = free_commutative_monoid()
+    fam = make_family(M.atoms, [("1", ""), ("a", "a"), ("b", "b"), ("aa", "a a")])
+    report = check_family_closure(M, fam)
+    assert report.missing_left_mcms == [(fam[1], fam[2], M.atoms.word("a b"))]
+    assert report.missing_left_divisors == [] and report.unknown == []
+
+
+def test_family_closure_braid4_simple_braids_are_closed():
+    M = braid4_monoid()
+    assert check_family_closure(M, braid4_family(M)).ok
+
+
+def test_family_closure_stops_at_the_first_proper_right_divisor(monkeypatch):
+    # the one question the budget cannot settle, does bab right-divide aab,
+    # comes after a shorter common multiple has shown aab not minimal
+    M = free_commutative_monoid()
+    fam = make_family(M.atoms, [("1", ""), ("a", "a"), ("b", "b"), ("aab", "a a b")])
+    stuck = (M.atoms.word("b a b").ids(), M.atoms.word("a a b").ids())
+    right_divides = greedy._Search.right_divides
+
+    def budgeted(self, r1, r2):
+        if (r1, r2) == stuck:
+            raise BudgetExhausted("word-problem search exceeded the budget")
+        return right_divides(self, r1, r2)
+
+    monkeypatch.setattr(greedy._Search, "right_divides", budgeted)
+    report = check_family_closure(M, fam)
+    assert report.unknown == []
+    assert report.missing_left_mcms == [(fam[1], fam[2], M.atoms.word("a b"))]
+
+
 def test_family_closure_trivial_monoid():
     atoms = Alphabet(())
     M = PresentedMonoid(atoms, ())

@@ -445,6 +445,13 @@ def test_cli_budget_exhaustion_exit_3(tmp_path, capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_cli_budget_env_reaches_gallery_presentations(capsys, monkeypatch):
+    monkeypatch.setenv("GARNORM_BUDGET", "5")
+    code, _, err = run_cli(capsys, "greedy", "gallery:braid3")
+    assert code == 3
+    assert "budget of 5 nodes" in err
+
+
 def test_cli_bad_budget_env_exit_2(tmp_path, capsys, monkeypatch):
     # gallery presentations are prebuilt, so exercise the env check via a file
     monkeypatch.setenv("GARNORM_BUDGET", "many")
