@@ -92,45 +92,55 @@ def _bicyclic() -> GalleryEntry:
     )
 
 
-def _bs10() -> GalleryEntry:
-    atoms = Alphabet(("a", "b"))
-    monoid = PresentedMonoid(atoms, ((atoms.word("a b"), atoms.word("a")),))
-    family = make_family(atoms, [("1", ""), ("a", "a"), ("b", "b")])
+def _presented(name: str, atoms, relations, family, **expectations) -> GalleryEntry:
+    """An entry built from a presentation: atom names, relations as pairs
+    of word texts and the family as (name, representative text) pairs, the
+    first of which is the unit; its table is the greedy table."""
+    atoms = Alphabet(atoms)
+    monoid = PresentedMonoid(atoms, tuple((atoms.word(u), atoms.word(v)) for u, v in relations))
+    family = make_family(atoms, family)
     unit = family[0]
-    table = greedy_table(monoid, family, unit)
     return GalleryEntry(
-        name="bs10",
-        table=table,
+        name=name,
+        table=greedy_table(monoid, family, unit),
         presentation=(monoid, family, unit),
-        expectations={
-            "condition_home": True,
-            "unit_condition": True,
-            "table_entries": (
-                (("a", "b"), ("1", "a")),
-                (("a", "1"), ("1", "a")),
-                (("b", "1"), ("1", "b")),
-                (("b", "a"), ("b", "a")),
-                (("a", "a"), ("a", "a")),
-            ),
-            "mealy_transitions": (
-                ("b", "a", "1", "a"),
-                ("a", "b", "b", "a"),
-                ("a", "1", "1", "a"),
-                ("b", "1", "1", "b"),
-                ("a", "a", "a", "a"),
-                ("1", "1", "1", "1"),
-                ("1", "a", "1", "a"),
-                ("1", "b", "1", "b"),
-            ),
-        },
+        expectations=expectations,
+    )
+
+
+def _bs10() -> GalleryEntry:
+    return _presented(
+        "bs10",
+        ("a", "b"),
+        [("a b", "a")],
+        [("1", ""), ("a", "a"), ("b", "b")],
+        condition_home=True,
+        unit_condition=True,
+        table_entries=(
+            (("a", "b"), ("1", "a")),
+            (("a", "1"), ("1", "a")),
+            (("b", "1"), ("1", "b")),
+            (("b", "a"), ("b", "a")),
+            (("a", "a"), ("a", "a")),
+        ),
+        mealy_transitions=(
+            ("b", "a", "1", "a"),
+            ("a", "b", "b", "a"),
+            ("a", "1", "1", "a"),
+            ("b", "1", "1", "b"),
+            ("a", "a", "a", "a"),
+            ("1", "1", "1", "1"),
+            ("1", "a", "1", "a"),
+            ("1", "b", "1", "b"),
+        ),
     )
 
 
 def _bs32() -> GalleryEntry:
-    atoms = Alphabet(("a", "b"))
-    monoid = PresentedMonoid(atoms, ((atoms.word("a b b b"), atoms.word("b b a")),))
-    family = make_family(
-        atoms,
+    return _presented(
+        "bs32",
+        ("a", "b"),
+        [("a b b b", "b b a")],
         [
             ("1", ""),
             ("a", "a"),
@@ -141,14 +151,8 @@ def _bs32() -> GalleryEntry:
             ("ab3", "a b b b"),
             ("ab4", "a b b b b"),
         ],
-    )
-    unit = family[0]
-    table = greedy_table(monoid, family, unit)
-    return GalleryEntry(
-        name="bs32",
-        table=table,
-        presentation=(monoid, family, unit),
-        expectations={"condition_home": True, "unit_condition": True},
+        condition_home=True,
+        unit_condition=True,
     )
 
 
@@ -202,10 +206,10 @@ def _malcev() -> GalleryEntry:
 
 
 def _braid3() -> GalleryEntry:
-    atoms = Alphabet(("a", "b"))
-    monoid = PresentedMonoid(atoms, ((atoms.word("a b a"), atoms.word("b a b")),))
-    family = make_family(
-        atoms,
+    return _presented(
+        "braid3",
+        ("a", "b"),
+        [("a b a", "b a b")],
         [
             ("1", ""),
             ("a", "a"),
@@ -214,34 +218,25 @@ def _braid3() -> GalleryEntry:
             ("ba", "b a"),
             ("D", "a b a"),
         ],
-    )
-    unit = family[0]
-    table = greedy_table(monoid, family, unit)
-    return GalleryEntry(
-        name="braid3",
-        table=table,
-        presentation=(monoid, family, unit),
-        expectations={
-            "condition_home": True,
-            "unit_condition": True,
-            "states": 6,
-            "action_equal": ((("a b a"), ("b a b"), True),),
-            "table_entries": (
-                (("a", "b"), ("1", "ab")),
-                (("ab", "a"), ("1", "D")),
-                (("ab", "b"), ("ab", "b")),
-            ),
-            "mealy_transitions": (
-                ("1", "a", "1", "a"),
-                ("1", "D", "1", "D"),
-                ("a", "1", "1", "a"),
-                ("a", "b", "1", "ba"),
-                ("a", "ab", "1", "D"),
-                ("a", "ba", "ba", "a"),
-                ("ab", "a", "a", "ab"),
-                ("ab", "ab", "a", "D"),
-            ),
-        },
+        condition_home=True,
+        unit_condition=True,
+        states=6,
+        action_equal=((("a b a"), ("b a b"), True),),
+        table_entries=(
+            (("a", "b"), ("1", "ab")),
+            (("ab", "a"), ("1", "D")),
+            (("ab", "b"), ("ab", "b")),
+        ),
+        mealy_transitions=(
+            ("1", "a", "1", "a"),
+            ("1", "D", "1", "D"),
+            ("a", "1", "1", "a"),
+            ("a", "b", "1", "ba"),
+            ("a", "ab", "1", "D"),
+            ("a", "ba", "ba", "a"),
+            ("ab", "a", "a", "ab"),
+            ("ab", "ab", "a", "D"),
+        ),
     )
 
 
@@ -319,8 +314,7 @@ def gallery(name: str) -> GalleryEntry:
     if builder is None:
         known = ", ".join(BASE_NAMES)
         raise UnknownName(f"unknown gallery entry {name!r} (known: {known}, finite:Z/<n>)")
-    entry = builder()
-    return entry
+    return builder()
 
 
 def gallery_tables() -> tuple[GalleryEntry, ...]:

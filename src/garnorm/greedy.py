@@ -113,8 +113,8 @@ class _Search:
         self.monoid = monoid
         rules = []
         for lhs, rhs in monoid.relations:
-            rules.append((lhs.ids(), rhs.ids()))
-            rules.append((rhs.ids(), lhs.ids()))
+            lhs, rhs = monoid.atoms.ids(lhs), monoid.atoms.ids(rhs)
+            rules += [(lhs, rhs), (rhs, lhs)]
         self._rules = rules
         self._classes: dict = {}
         self._divides: dict = {}
@@ -211,6 +211,13 @@ def bounded_equal(monoid: PresentedMonoid, u: Word, v: Word) -> bool:
 # divisibility and the greedy table
 
 
+def _family_reps(monoid: PresentedMonoid, family):
+    """The family, its representatives as atom ids (by name) and their longest length."""
+    family = tuple(family)
+    reps = [monoid.atoms.ids(f.rep) for f in family]
+    return family, reps, max(map(len, reps), default=0)
+
+
 def _products(reps: list[tuple[int, ...]]) -> dict:
     """Each product word reps[c] reps[d], mapped to its index pairs (c, d)
     in lexicographic order."""
@@ -235,9 +242,7 @@ def _factorisations(
 
 def right_divisors(monoid: PresentedMonoid, e: Word, family) -> set[FamilyElement]:
     """Family elements d such that e = c * d for some family element c."""
-    family = tuple(family)
-    reps = [f.rep.ids() for f in family]
-    maxlen = max((len(r) for r in reps), default=0)
+    family, reps, maxlen = _family_reps(monoid, family)
     pairs = _factorisations(_search_for(monoid), monoid.atoms.ids(e), _products(reps), maxlen)
     return {family[d] for _, d in pairs}
 
@@ -263,7 +268,7 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
     raises at its first pair, as a pair-by-pair construction would, with
     that pair's names.
     """
-    family = tuple(family)
+    family, reps, maxlen = _family_reps(monoid, family)
     if unit is None:
         unit = family_unit(family)
     elif isinstance(unit, (str, Symbol)):
@@ -276,8 +281,6 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
 
     alphabet = Alphabet(f.name.name for f in family)
     search = _search_for(monoid)
-    reps = [f.rep.ids() for f in family]
-    maxlen = max(len(r) for r in reps)
 
     def divides(i: int, j: int) -> bool:
         return search.divides(reps[i], reps[j])
@@ -364,12 +367,10 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
     scan asks a prefix of a full scan's questions, in order: only a pair a
     full scan labels unknown after its answer was settled reads otherwise.
     """
-    family = tuple(family)
+    family, reps, maxlen = _family_reps(monoid, family)
     report = FamilyClosureReport()
     search = _search_for(monoid)
     right_divides = search.right_divides
-    reps = [f.rep.ids() for f in family]
-    maxlen = max((len(r) for r in reps), default=0)
     window = 2 * maxlen + monoid.length_slack
     atoms = monoid.atoms
 
@@ -408,9 +409,12 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
         for n in range(maxlen + 1)
         for t in itertools.product(range(len(atoms)), repeat=n)
     ]
+    multiples: dict = {}  # rep -> the pool words it right-divides; order-free, see _Search
     for (f, rf), (g, rg) in itertools.combinations(zip(family, reps), 2):
         try:
-            common = [m for m in pool if right_divides(rf, m) and right_divides(rg, m)]
+            if rf not in multiples:
+                multiples[rf] = [m for m in pool if right_divides(rf, m)]
+            common = [m for m in multiples[rf] if right_divides(rg, m)]
             reported_m: list[frozenset] = []
             for m in common:
                 minimal = not any(

@@ -240,16 +240,17 @@ def _pair_reps(m: MealyMachine) -> tuple[tuple[int, int], ...]:
     Action equality is a congruence on state words, so these classes form
     a quadratic rewriting system on them, in the flat pair encoding of
     ``NormTable``: replacing an adjacent pair by its representative keeps
-    the action.  Computed once per machine, at the cost of q**2 * s
-    threads and one refinement, and kept in ``m._reps``.
+    the action.  Computed once per machine from the level-1 rows of
+    :func:`_levels` (q**2 * s row entries) and one refinement, and kept in
+    ``m._reps``.
     """
     reps = m._reps
     if reps is None:
-        q, s, table = len(m.states), len(m.alphabet), m._pairs
+        q = len(m.states)
+        _, out, nxt = next(_levels(m, 1))
         pairs = list(itertools.product(range(q), repeat=2))
-        rows = [[_thread(table, s, p, j) for j in range(s)] for p in pairs]
-        outs = [tuple([o for o, _ in row]) for row in rows]
-        succs = [[a * q + b for _, (a, b) in row] for row in rows]
+        outs = [tuple([out[b][o] for o in out[a]]) for a, b in pairs]
+        succs = [[na * q + nxt[b][o] for na, o in zip(nxt[a], out[a])] for a, b in pairs]
         least: dict = {}
         reps = tuple(least.setdefault(c, p) for p, c in zip(pairs, _refine(outs, succs)))
         m._reps = reps
@@ -273,7 +274,7 @@ def distinguishing_word(m: MealyMachine, u: Word, v: Word) -> Word | None:
     differ, or None when they agree on all words.
 
     Both state words are first reduced by the representatives of the
-    length-2 action classes (a one-time cost of q**2 * s threads per
+    length-2 action classes (a one-time cost of q**2 * s row entries per
     machine); when the reduced tuples coincide the actions agree.
     Otherwise a breadth-first bisimulation runs over pairs of state
     tuples, trying letters in order: a pair is consistent iff every letter

@@ -189,7 +189,7 @@ def parse_machine(text: str) -> MealyMachine:
     return MealyMachine(states, alphabet, nxt, out)
 
 
-def parse_presentation(text: str, search_budget: int | None = None):
+def parse_presentation(text: str):
     """Parse the presentation format.
 
     Returns (monoid, family, unit element or None); EPS denotes the empty
@@ -240,8 +240,7 @@ def parse_presentation(text: str, search_budget: int | None = None):
             raise ParseError(lineno, f"unknown directive {head!r}")
     if atoms is None:
         raise ParseError(1, "missing atoms line")
-    budget = DEFAULT_NODE_BUDGET if search_budget is None else search_budget
-    monoid = PresentedMonoid(atoms, tuple(relations), search_budget=budget)
+    monoid = PresentedMonoid(atoms, tuple(relations))
     family = make_family(atoms, family_entries)
     return monoid, family, family_unit(family)
 
@@ -411,8 +410,9 @@ def _load_machine(source: str) -> MealyMachine:
 def _load_presentation(source: str):
     if source.startswith("gallery:"):
         monoid, family, unit = _gallery_part(source[len("gallery:") :], "presentation")
-        return dataclasses.replace(monoid, search_budget=_budget()), family, unit
-    return parse_presentation(_read(source), search_budget=_budget())
+    else:
+        monoid, family, unit = parse_presentation(_read(source))
+    return dataclasses.replace(monoid, search_budget=_budget()), family, unit
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,24 @@ import pytest
 from garnorm import (
     Alphabet,
     AlphabetError,
+    FamilyElement,
     LetterNotInAlphabet,
     NormTable,
+    Word,
     bounded_equal,
     build_mealy,
     build_thurston,
+    check_family_closure,
     distinguishing_word,
     gallery,
+    greedy_table,
     is_normal,
     minimize,
     nbar_apply,
     normalize,
     numeration_iterate,
     padding_normal_form,
+    right_divisors,
     run,
     run_word,
     thurston_normalize,
@@ -39,6 +44,22 @@ def over(alphabet: Alphabet, text: str, extra: tuple = ()):
     """``text`` as a word over a fresh alphabet: the names of ``alphabet``
     reversed, plus ``extra``."""
     return Alphabet(tuple(reversed(alphabet.names())) + extra).word(text)
+
+
+def bs10_family(w):
+    """The family {1, a, ba} of bs10, its representatives built by ``w``."""
+    names = Alphabet(("1", "a", "ba"))
+    reps = (Word(), w(bs10.atoms, "a"), w(bs10.atoms, "b a"))
+    return tuple(FamilyElement(name, rep) for name, rep in zip(names, reps))
+
+
+def closure_by_names(report):
+    """A closure report with family elements as names and words as text."""
+    return (
+        [(f.name.name, str(p)) for f, p in report.missing_left_divisors],
+        [(f.name.name, g.name.name, str(m)) for f, g, m in report.missing_left_mcms],
+        report.unknown,
+    )
 
 
 def cases():
@@ -63,6 +84,11 @@ def cases():
          lambda w: padding_normal_form(mealy, "1", w(mealy.states, "b a ba"), 5)),
         ("bounded_equal left", lambda w: bounded_equal(bs10, w(bs10.atoms, "a b b"), bs10_word)),
         ("bounded_equal right", lambda w: bounded_equal(bs10, bs10_word, w(bs10.atoms, "a"))),
+        ("greedy_table", lambda w: greedy_table(bs10, bs10_family(w))),
+        ("right_divisors", lambda w: sorted(
+            f.name.name for f in right_divisors(bs10, bs10.atoms.word("b a"), bs10_family(w)))),
+        ("check_family_closure",
+         lambda w: closure_by_names(check_family_closure(bs10, bs10_family(w)))),
     ]
 
 

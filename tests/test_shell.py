@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from garnorm import Alphabet, GarnormError, ParseError, gallery, gallery_tables
 from garnorm.greedy import PresentedMonoid, make_family
@@ -156,6 +157,43 @@ def test_emit_presentation_refuses_an_atom_named_eps():
     family = make_family(monoid.atoms, [("e", "EPS"), ("1", "")])
     with pytest.raises(GarnormError, match="'EPS' is reserved"):
         emit_presentation(monoid, family)
+
+
+# every directive and separator of the three formats, a comment mark, the
+# reserved EPS, names shared by all three, and a name with a forbidden character
+DIRECTIVE_TOKENS = (
+    "alphabet", "unit", "rule", "states", "trans", "atoms", "rel", "family",
+    "->", "=", "EPS", "#", "a", "b", "1", "ba", "0", "a-b",
+)
+NAMES = ("a", "b", "0", "1", "EPS", "a-b", "#")
+_name, _names = st.sampled_from(NAMES).map(lambda n: [n]), st.lists(st.sampled_from(NAMES))
+# valid first lines of each format (or none), so that later lines are reached
+HEADERS = ("", "alphabet 1 a b", "states 0 1\nalphabet a b", "atoms a b")
+
+
+def _heads(*heads):
+    return st.sampled_from(heads).map(lambda head: [head])
+
+
+# lines shaped like each directive with names of any kind, or any tokens
+directive_lines = st.one_of(
+    st.tuples(_heads("alphabet", "unit", "states", "atoms"), _names),
+    st.tuples(_heads("rule", "trans"), _name, _name, st.just(["->"]), _name, _name),
+    st.tuples(_heads("rel"), _names, st.just(["="]), _names),
+    st.tuples(_heads("family"), _name, st.just(["="]), _names),
+    st.tuples(st.lists(st.sampled_from(DIRECTIVE_TOKENS), max_size=8)),
+).map(lambda parts: " ".join(token for part in parts for token in part))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(HEADERS), st.lists(directive_lines, max_size=4))
+def test_parsers_raise_only_parse_error(header, lines):
+    text = "\n".join([header, *lines])
+    for parse in (parse_table, parse_machine, parse_presentation):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +491,7 @@ def test_cli_budget_env_reaches_gallery_presentations(capsys, monkeypatch):
 
 
 def test_cli_bad_budget_env_exit_2(tmp_path, capsys, monkeypatch):
-    # gallery presentations are prebuilt, so exercise the env check via a file
+    # file and gallery: presentations read GARNORM_BUDGET in one place; a file here
     monkeypatch.setenv("GARNORM_BUDGET", "many")
     pres = tmp_path / "bs10.pres"
     pres.write_text(BS10_PRESENTATION)
