@@ -744,7 +744,7 @@ def verify_normalisation(table: NormTable, max_len: int = 5) -> NormalisationRep
 
 
 class _UnboundedType:
-    """Sentinel for a breadth coordinate that exceeded the iteration cap."""
+    """Sentinel for a breadth coordinate whose sequence never normalises."""
 
     _instance = None
 
@@ -764,7 +764,7 @@ UNBOUNDED = _UnboundedType()
 class Breadth:
     """Worst-case lengths of the alternating position sequences needed to
     normalise three-letter words: ``d`` alternates 2,1,2,... and ``p``
-    alternates 1,2,1,...; each witness is a triple attaining its maximum.
+    alternates 1,2,1,...; each witness is the first triple attaining its value.
     """
 
     d: int | _UnboundedType
@@ -782,51 +782,54 @@ class Breadth:
 
 
 def _alternating_count(
-    pairs, g: int, triple: tuple[int, int, int], target: tuple[int, ...], first: int, cap: int
+    pairs, g: int, triple: tuple[int, int, int], target: tuple[int, ...], first: int, bound: int
 ) -> int | None:
     """Least number of alternating applications turning ``triple`` into
     ``target``; ``first`` is the 0-based position applied first.  Every
-    application counts, including ones that fix the word.  Returns None
-    past ``cap``."""
-    w = triple
-    pos = first
-    for count in range(cap + 1):
-        if w == target:
-            return count
+    application counts, including ones that fix the word.  None if
+    ``target`` is never reached: a step depends only on the word and the
+    parity of the step count, so a sequence that misses ``target`` for
+    ``bound`` = 2 * g**3 steps has repeated a (word, parity) state and cycles."""
+    w, pos, count = triple, first, 0
+    while w != target:
+        if count == bound:
+            return None
         c, d = pairs[w[pos] * g + w[pos + 1]]
         if pos == 0:
             w = (c, d, w[2])
         else:
             w = (w[0], c, d)
-        pos = 1 - pos
-    return None
+        pos, count = 1 - pos, count + 1
+    return count
 
 
-def breadth(table: NormTable, cap: int = 64) -> Breadth:
+def breadth(table: NormTable) -> Breadth:
     """Maximal alternating-sequence lengths over all three-letter words.
 
-    Requires a pair-idempotent table.  A coordinate whose sequence fails to
-    reach the normal form within ``cap`` applications is reported as
-    UNBOUNDED, with the offending triple as witness.  The normal forms come
-    from repeated sweeps, never from letter insertion, because insertion is
-    only enabled by this very measurement.
+    Requires a pair-idempotent table.  A coordinate whose sequence never
+    reaches the normal form is UNBOUNDED (decided exactly, see
+    :func:`_alternating_count`) with the offending triple as witness, and
+    no later triple is walked for it.  The normal forms come from repeated
+    sweeps, never from letter insertion, because insertion is only enabled
+    by this very measurement.
     """
     table.require_idempotent()
     g = len(table.alphabet)
     pairs = table._pairs
+    bound = 2 * g**3
 
     d_val, d_wit = 0, (0, 0, 0)
     p_val, p_wit = 0, (0, 0, 0)
     for triple in itertools.product(range(g), repeat=3):
         target = _sweep_normalize_ids(table, triple, DEFAULT_NODE_BUDGET)
         if d_val is not UNBOUNDED:
-            c = _alternating_count(pairs, g, triple, target, 1, cap)
+            c = _alternating_count(pairs, g, triple, target, 1, bound)
             if c is None:
                 d_val, d_wit = UNBOUNDED, triple
             elif c > d_val:
                 d_val, d_wit = c, triple
         if p_val is not UNBOUNDED:
-            c = _alternating_count(pairs, g, triple, target, 0, cap)
+            c = _alternating_count(pairs, g, triple, target, 0, bound)
             if c is None:
                 p_val, p_wit = UNBOUNDED, triple
             elif c > p_val:
@@ -844,21 +847,20 @@ def breadth(table: NormTable, cap: int = 64) -> Breadth:
     )
 
 
-def home_failures(b: Breadth, cap: int) -> list[str]:
-    """Why the breadth ``b``, measured at ``cap``, breaks d <= 4 and
-    p <= 3 (empty = holds)."""
+def home_failures(b: Breadth) -> list[str]:
+    """Why the breadth ``b`` breaks d <= 4 and p <= 3 (empty = holds)."""
     reasons = []
     for name, value, witness, bound in (("d", b.d, b.d_witness, 4), ("p", b.p, b.p_witness, 3)):
         if not isinstance(value, int):
-            reasons.append(f"{name} unbounded at cap {cap} (witness {witness})")
+            reasons.append(f"{name} unbounded (witness {witness})")
         elif value > bound:
             reasons.append(f"{name}={value} exceeds {bound}")
     return reasons
 
 
-def condition_home(table: NormTable, cap: int = 64) -> bool:
+def condition_home(table: NormTable) -> bool:
     """True iff the breadth is finite with d <= 4 and p <= 3."""
-    return not home_failures(breadth(table, cap=cap), cap)
+    return not home_failures(breadth(table))
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,7 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
     divisibility, as :meth:`_Search.divides` decides it.  Incomparable
     maxima, ties, or several left parts for the chosen right part raise
     :class:`AmbiguousMaximum`.  The result is checked for pair idempotence.
+    A ``unit`` given as a family element, a name or a symbol is matched by name.
 
     Every product has length at most 2 * maxlen, so every product's class
     is taken in the one window 2 * maxlen + slack.  Relations apply in both
@@ -269,17 +270,16 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
     that pair's names.
     """
     family, reps, maxlen = _family_reps(monoid, family)
+    alphabet = Alphabet(f.name.name for f in family)
     if unit is None:
         unit = family_unit(family)
-    elif isinstance(unit, (str, Symbol)):
-        name = unit.name if isinstance(unit, Symbol) else unit
-        unit = next((f for f in family if f.name.name == name), None)
-    if unit is None or unit not in family or len(unit.rep) != 0:
+    else:
+        unit = family[alphabet[unit.name if isinstance(unit, FamilyElement) else unit].id]
+    if unit is None or len(unit.rep) != 0:
         raise MissingUnit(
             "the family must contain the unit (one element with an empty representative)"
         )
 
-    alphabet = Alphabet(f.name.name for f in family)
     search = _search_for(monoid)
 
     def divides(i: int, j: int) -> bool:

@@ -473,7 +473,7 @@ def _coordinate(value) -> int | str:
 
 def _cmd_breadth(args) -> int:
     table = _load_table(args.table)
-    b = core.breadth(table, cap=args.cap)
+    b = core.breadth(table)
     tree = {
         "d": _coordinate(b.d),
         "p": _coordinate(b.p),
@@ -488,8 +488,8 @@ def _cmd_breadth(args) -> int:
 
 def _cmd_home(args) -> int:
     table = _load_table(args.table)
-    b = core.breadth(table, cap=args.cap)
-    reasons = core.home_failures(b, args.cap)
+    b = core.breadth(table)
+    reasons = core.home_failures(b)
     verdict = not reasons
     _print_report(
         args,
@@ -570,8 +570,6 @@ def _cmd_growth(args) -> int:
 
 def _cmd_greedy(args) -> int:
     monoid, family, unit = _load_presentation(args.presentation)
-    if unit is None:
-        raise GarnormError("the family must contain a unit element (rep EPS)")
     sys.stdout.write(emit_table(greedy_table(monoid, family, unit)))
     return 0
 
@@ -619,11 +617,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("breadth", _cmd_breadth, "alternating-sequence breadth of a table")
     p.add_argument("table")
-    p.add_argument("--cap", type=int, default=64)
 
     p = add("home", _cmd_home, "test the bounded-breadth condition (d <= 4, p <= 3)")
     p.add_argument("table")
-    p.add_argument("--cap", type=int, default=64)
 
     p = add("normalize", _cmd_normalize, "normal form of a word")
     p.add_argument("table")

@@ -38,6 +38,8 @@ FILES = {
     "bs10.pres": "atoms a b\nrel a b = a\nfamily 1 = EPS\nfamily a = a\nfamily b = b\n",
     "braid3.pres": BRAID3,
     "id.machine": "states s\nalphabet x y\ntrans s x -> s x\ntrans s y -> s y\n",
+    "stuck.table": "alphabet a b\nrule a a -> a b\n",
+    "nounit.pres": "atoms a b\nrel a b = a\nfamily a = a\nfamily b = b\n",
     "junk.txt": "what even is this\n",
 }
 
@@ -48,10 +50,8 @@ GALLERY_CASES = [
     ["check", "gallery:braid3", "--max-len", "4"],
     ["breadth", "gallery:bicyclic"],
     ["breadth", "gallery:plactic2"],
-    ["breadth", "gallery:bicyclic", "--cap", "3"],
     ["home", "gallery:bicyclic"],
     ["home", "gallery:plactic2"],
-    ["home", "gallery:bicyclic", "--cap", "3"],
     ["normalize", "gallery:bicyclic", "a a b"],
     ["normalize", "gallery:plactic2", "ba"],
     ["normalize", "gallery:plactic2", "ba", "--compact"],
@@ -110,6 +110,11 @@ OTHER_CASES = [
     (["dual", "{dir}/id.machine"], None),
     (["dual", "{dir}/swap.table"], None),
     (["dual", "{dir}/bs10.pres"], None),
+    (["breadth", "{dir}/stuck.table"], None),
+    (["breadth", "{dir}/stuck.table", "--json"], None),
+    (["home", "{dir}/stuck.table"], None),
+    (["home", "{dir}/stuck.table", "--json"], None),
+    (["greedy", "{dir}/nounit.pres"], None),
     (["breadth", "{dir}/junk.txt"], None),
     (["breadth", "{dir}/missing.table"], None),
 ]

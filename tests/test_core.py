@@ -1,5 +1,8 @@
 
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from garnorm import (
     Alphabet,
@@ -410,11 +413,51 @@ def test_breadth_requires_idempotence():
 
 
 def test_breadth_unbounded_coordinate():
-    b = breadth(stuck_table(), cap=16)
+    b = breadth(stuck_table())
     assert b.d is UNBOUNDED
     assert str(b.d_witness) == "a a a"
     assert b.p == 2
     assert not b.finite
+
+
+@st.composite
+def idempotent_pair_maps(draw):
+    """A pair map on 2-4 letters that rewrites at most a third of the pairs,
+    each to a pair it fixes, so it is idempotent."""
+    g = draw(st.integers(2, 4))
+    al = Alphabet("abcd"[:g])
+    pairs = list(itertools.product(al.names(), repeat=2))
+    rewritten = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=g * g // 3, unique=True))
+    fixed = [p for p in pairs if p not in rewritten]
+    return NormTable(al, [(p, draw(st.sampled_from(fixed))) for p in rewritten])
+
+
+def test_breadth_equals_alternating_oracle(record_testsuite_property):
+    """On tables whose three-letter words normalise uniquely, each breadth
+    coordinate is the maximum of the oracle's walks bounded by their 2 g^3
+    (word, parity) states, or UNBOUNDED if one never ends, and the oracle's
+    default cap of 64 gives the same maxima.  The longest finite walk seen
+    is recorded as the suite property ``longest_finite_walk``."""
+    longest = []
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(idempotent_pair_maps())
+    def check(table):
+        assume(verify_normalisation(table, 3).ok)
+        triples = [Word(t) for t in itertools.product(table.alphabet.symbols, repeat=3)]
+
+        def maxima(cap):
+            counts = [[alternating_count(table, t, first, cap=cap) for t in triples]
+                      for first in (2, 1)]  # d applies position 2 first, p position 1
+            longest.extend(c for cs in counts for c in cs if c is not None)
+            return tuple(UNBOUNDED if None in cs else max(cs) for cs in counts)
+
+        exact = maxima(2 * len(table.alphabet) ** 3)
+        assert breadth(table).as_pair() == exact == maxima(64)
+
+    check()
+    assert longest
+    record_testsuite_property("longest_finite_walk", max(longest))
 
 
 def test_gallery_breadth_gap_within_one():

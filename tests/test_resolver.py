@@ -119,6 +119,9 @@ def single_cases():
     rules = plactic2.rules()
     mealy_word, mul2_word = mealy.states.word("b a ba"), mul2.alphabet.word("12")
 
+    family = gallery("bs10").presentation[1]
+    family_names = Alphabet(f.name.name for f in family)
+
     def table_and_unit(s):
         table = NormTable(al, rules, unit=s(al, "1"))
         return table, table.unit
@@ -142,6 +145,7 @@ def single_cases():
          lambda s: padding_normal_form(mealy, s(mealy.alphabet, "1"), mealy_word, 5)),
         ("ActionClassPartition.class_of",
          lambda s: [minimize(div3).class_of(s(div3.states, x)) for x in "02"]),
+        ("greedy_table unit", lambda s: greedy_table(bs10, family, s(family_names, "1"))),
     ]
 
 

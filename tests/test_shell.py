@@ -17,7 +17,9 @@ from garnorm.shell import (
     parse_presentation,
     parse_table,
 )
+from test_certificate import pair_maps
 from test_core import cycling_fork_table
+from test_greedy import presentations_with_families
 
 BS10_PRESENTATION = """\
 # the right-cancellative monoid with one absorbing relation
@@ -63,6 +65,23 @@ def test_presentation_round_trips():
         assert [f.rep for f in family2] == [f.rep for f in family]
         assert unit2.name.name == unit.name.name
         assert emit_presentation(monoid2, family2) == text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pair_maps())
+def test_emitted_table_reparses_to_the_same_text(table):
+    text = emit_table(table)
+    assert emit_table(parse_table(text)) == text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(presentations_with_families())
+def test_emitted_presentation_reparses_to_the_same_text(case):
+    atoms, relations, entries, _ = case
+    monoid = PresentedMonoid(atoms, tuple((atoms.word(l), atoms.word(r)) for l, r in relations))
+    text = emit_presentation(monoid, make_family(atoms, entries))
+    monoid2, family2, _ = parse_presentation(text)
+    assert emit_presentation(monoid2, family2) == text
 
 
 def test_emit_parse_is_canonical_reformatting():
