@@ -399,13 +399,10 @@ class NormTable:
 
     def _incremental(self) -> bool:
         """Whether ``normalize`` may insert letters one at a time: the table
-        satisfies :func:`condition_home`.  Computed on first use and cached;
-        a table whose breadth cannot be computed does not qualify."""
+        is idempotent and satisfies :func:`condition_home`.  Computed on
+        first use and cached."""
         if self._home is None:
-            try:
-                self._home = condition_home(self)
-            except GarnormError:
-                self._home = False
+            self._home = not self.idempotence_failures() and condition_home(self)
         return self._home
 
     def __repr__(self) -> str:
@@ -732,7 +729,7 @@ def verify_normalisation(table: NormTable, max_len: int = 5) -> NormalisationRep
         raise GarnormError("max_len must be at least 3")
     report = NormalisationReport(max_len=max_len)
     report.idempotence_failures = table.idempotence_failures()
-    if not report.idempotence_failures and table._incremental():
+    if table._incremental():
         return report
 
     report.not_confluent, report.not_normalising = _rewrite_analysis(table, max_len)
@@ -744,7 +741,7 @@ def verify_normalisation(table: NormTable, max_len: int = 5) -> NormalisationRep
 
 
 class _UnboundedType:
-    """Sentinel for a breadth coordinate whose sequence never normalises."""
+    """Sentinel for a breadth coordinate whose sequence misses its target."""
 
     _instance = None
 
@@ -781,60 +778,63 @@ class Breadth:
         return isinstance(self.d, int) and isinstance(self.p, int)
 
 
-def _alternating_count(
-    pairs, g: int, triple: tuple[int, int, int], target: tuple[int, ...], first: int, bound: int
-) -> int | None:
-    """Least number of alternating applications turning ``triple`` into
-    ``target``; ``first`` is the 0-based position applied first.  Every
-    application counts, including ones that fix the word.  None if
-    ``target`` is never reached: a step depends only on the word and the
-    parity of the step count, so a sequence that misses ``target`` for
-    ``bound`` = 2 * g**3 steps has repeated a (word, parity) state and cycles."""
+def _alternating_walk(
+    pairs, fixed, g: int, triple: tuple[int, int, int], first: int, bound: int
+) -> tuple[tuple[int, ...] | None, int]:
+    """Walk from ``triple`` applying the 0-based positions ``first``, other,
+    first, ..., where ``fixed[k]`` says whether the table fixes the pair of
+    index k.  Returns the first normal word met (every later application
+    fixes it) and the number of applications before it.  The word is None
+    if there is none in ``bound`` = 2 * g**3 steps: a step depends only on
+    the word and the parity of the step count, so the walk has repeated a
+    (word, parity) state and cycles."""
     w, pos, count = triple, first, 0
-    while w != target:
+    while not (fixed[w[0] * g + w[1]] and fixed[w[1] * g + w[2]]):
         if count == bound:
-            return None
+            return None, count
         c, d = pairs[w[pos] * g + w[pos + 1]]
-        if pos == 0:
-            w = (c, d, w[2])
-        else:
-            w = (w[0], c, d)
+        w = (c, d, w[2]) if pos == 0 else (w[0], c, d)
         pos, count = 1 - pos, count + 1
-    return count
+    return w, count
 
 
 def breadth(table: NormTable) -> Breadth:
     """Maximal alternating-sequence lengths over all three-letter words.
 
-    Requires a pair-idempotent table.  A coordinate whose sequence never
-    reaches the normal form is UNBOUNDED (decided exactly, see
-    :func:`_alternating_count`) with the offending triple as witness, and
-    no later triple is walked for it.  The normal forms come from repeated
-    sweeps, never from letter insertion, because insertion is only enabled
-    by this very measurement.
+    Requires a pair-idempotent table and raises nothing else.  The target
+    of a triple is the normal word its 1,2,1,... walk reaches (repeated
+    sweeps of the triple), or else the one its 2,1,2,... walk reaches.  A
+    coordinate is its walk's step count when that walk reaches the target,
+    and UNBOUNDED otherwise (decided exactly, see :func:`_alternating_walk`),
+    with the offending triple as witness.  Once d is UNBOUNDED its walks
+    stop; the 1,2,1,... walks go on while d needs their targets.
     """
     table.require_idempotent()
     g = len(table.alphabet)
     pairs = table._pairs
+    fixed = [pairs[k] == divmod(k, g) for k in range(g * g)]
     bound = 2 * g**3
 
-    d_val, d_wit = 0, (0, 0, 0)
-    p_val, p_wit = 0, (0, 0, 0)
+    # indexed by the position each walk applies first: 0 for p, 1 for d
+    value: list = [0, 0]
+    witness = [(0, 0, 0), (0, 0, 0)]
     for triple in itertools.product(range(g), repeat=3):
-        target = _sweep_normalize_ids(table, triple, DEFAULT_NODE_BUDGET)
-        if d_val is not UNBOUNDED:
-            c = _alternating_count(pairs, g, triple, target, 1, bound)
-            if c is None:
-                d_val, d_wit = UNBOUNDED, triple
-            elif c > d_val:
-                d_val, d_wit = c, triple
-        if p_val is not UNBOUNDED:
-            c = _alternating_count(pairs, g, triple, target, 0, bound)
-            if c is None:
-                p_val, p_wit = UNBOUNDED, triple
-            elif c > p_val:
-                p_val, p_wit = c, triple
+        target = None
+        for first in (0, 1):
+            if first and value[1] is UNBOUNDED:
+                break
+            normal, steps = _alternating_walk(pairs, fixed, g, triple, first, bound)
+            target = target or normal
+            if value[first] is UNBOUNDED:
+                continue
+            if normal is None or normal != target:
+                value[first], witness[first] = UNBOUNDED, triple
+            elif steps > value[first]:
+                value[first], witness[first] = steps, triple
+        if value[0] is UNBOUNDED and value[1] is UNBOUNDED:
+            break
 
+    (p_val, d_val), (p_wit, d_wit) = value, witness
     warning = None
     if isinstance(d_val, int) and isinstance(p_val, int) and abs(d_val - p_val) > 1:
         warning = f"|d - p| = {abs(d_val - p_val)} > 1; genuine normalisations satisfy |d - p| <= 1"

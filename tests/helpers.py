@@ -10,8 +10,10 @@ from collections import deque
 import itertools
 
 from garnorm import (
+    UNBOUNDED,
     Alphabet,
     AmbiguousMaximum,
+    Breadth,
     BudgetExhausted,
     MissingUnit,
     NoFactorisation,
@@ -19,7 +21,7 @@ from garnorm import (
     Symbol,
     Word,
 )
-from garnorm.core import _word_from_ids
+from garnorm.core import DEFAULT_NODE_BUDGET, _sweep_normalize_ids, _word_from_ids
 from garnorm.greedy import FamilyClosureReport, _search_for, family_unit
 
 
@@ -69,6 +71,82 @@ def alternating_count(table: NormTable, triple: Word, first: int, cap: int = 64)
         cur = cur[: pos - 1] + (c, d) + cur[pos + 1 :]
         pos = 3 - pos
     return None
+
+
+def _breadth_of(table: NormTable, lengths) -> Breadth:
+    """A Breadth from each triple's (d, p) walk lengths, None for a walk
+    that misses its target: a coordinate is UNBOUNDED at the first triple
+    with None, else the maximum at the first triple attaining it."""
+    value, witness = [0, 0], [Word(table.alphabet.symbols[:1] * 3)] * 2
+    for triple, counts in lengths:
+        for k, c in enumerate(counts):
+            if value[k] is UNBOUNDED:
+                continue
+            if c is None:
+                value[k], witness[k] = UNBOUNDED, triple
+            elif c > value[k]:
+                value[k], witness[k] = c, triple
+    d, p = value
+    warning = None
+    if d is not UNBOUNDED and p is not UNBOUNDED and abs(d - p) > 1:
+        warning = f"|d - p| = {abs(d - p)} > 1; genuine normalisations satisfy |d - p| <= 1"
+    return Breadth(d, p, witness[0], witness[1], warning)
+
+
+def sweep_target_breadth(table: NormTable) -> Breadth:
+    """Breadth with each triple's target taken from the whole-word
+    normaliser: repeated sweeps, then an exhaustive search when they cycle
+    (``core._sweep_normalize_ids``).  Each walk is counted to that target
+    and is None after 2 g^3 steps without it.  Raises what the normaliser
+    raises on a triple with no normal word, or with two reachable ones
+    after the sweeps cycle."""
+    table.require_idempotent()
+    g = len(table.alphabet)
+    pairs = table._pairs
+
+    def count(triple, target, pos):
+        w = triple
+        for steps in range(2 * g**3 + 1):
+            if w == target:
+                return steps
+            c, d = pairs[w[pos] * g + w[pos + 1]]
+            w = (c, d, w[2]) if pos == 0 else (w[0], c, d)
+            pos = 1 - pos
+        return None
+
+    lengths = []
+    for triple in itertools.product(range(g), repeat=3):
+        target = _sweep_normalize_ids(table, triple, DEFAULT_NODE_BUDGET)
+        counts = (count(triple, target, 1), count(triple, target, 0))
+        lengths.append((_word_from_ids(table.alphabet, triple), counts))
+    return _breadth_of(table, lengths)
+
+
+def walk_rule_breadth(table: NormTable) -> Breadth:
+    """Breadth by the rule that needs no normaliser: each alternating walk
+    runs over words until it meets a normal word or repeats a (word, next
+    position) state; a triple's target is the normal word of its 1,2,1,...
+    walk, or else of its 2,1,2,... walk, and a walk counts only if it ends
+    at that target."""
+
+    def walk(triple: Word, pos: int):
+        cur, seen = tuple(triple), set()
+        while not brute_is_normal(table, Word(cur)):
+            if (cur, pos) in seen:
+                return None, None
+            seen.add((cur, pos))
+            c, d = table.entry(cur[pos - 1], cur[pos])
+            cur = cur[: pos - 1] + (c, d) + cur[pos + 1 :]
+            pos = 3 - pos
+        return cur, len(seen)
+
+    lengths = []
+    for t in itertools.product(table.alphabet.symbols, repeat=3):
+        d_walk, p_walk = walk(t, 2), walk(t, 1)
+        target = p_walk[0] or d_walk[0]
+        counts = tuple(n if nf is not None and nf == target else None for nf, n in (d_walk, p_walk))
+        lengths.append((Word(t), counts))
+    return _breadth_of(table, lengths)
 
 
 def all_words(alphabet, max_len: int, min_len: int = 1):

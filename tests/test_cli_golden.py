@@ -39,6 +39,7 @@ FILES = {
     "braid3.pres": BRAID3,
     "id.machine": "states s\nalphabet x y\ntrans s x -> s x\ntrans s y -> s y\n",
     "stuck.table": "alphabet a b\nrule a a -> a b\n",
+    "nonormal.table": "alphabet a b\nrule a a -> b a\nrule a b -> b a\nrule b b -> b a\n",
     "nounit.pres": "atoms a b\nrel a b = a\nfamily a = a\nfamily b = b\n",
     "junk.txt": "what even is this\n",
 }
@@ -114,6 +115,10 @@ OTHER_CASES = [
     (["breadth", "{dir}/stuck.table", "--json"], None),
     (["home", "{dir}/stuck.table"], None),
     (["home", "{dir}/stuck.table", "--json"], None),
+    (["breadth", "{dir}/nonormal.table"], None),
+    (["breadth", "{dir}/nonormal.table", "--json"], None),
+    (["home", "{dir}/nonormal.table"], None),
+    (["home", "{dir}/nonormal.table", "--json"], None),
     (["greedy", "{dir}/nounit.pres"], None),
     (["breadth", "{dir}/junk.txt"], None),
     (["breadth", "{dir}/missing.table"], None),

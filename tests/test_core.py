@@ -39,6 +39,8 @@ from helpers import (
     brute_is_normal,
     brute_normal_forms,
     bulk_longest_derivations,
+    sweep_target_breadth,
+    walk_rule_breadth,
 )
 
 bicyclic = gallery("bicyclic").table
@@ -77,9 +79,16 @@ def cycling_fork_table():
 
 def stuck_table():
     # idempotent, but the alternating 2,1,2,... schedule never reaches the
-    # sweep normal form of aaa (abb instead of aba)
+    # normal word a b a that the 1,2,1,... schedule reaches from aaa (it
+    # stops at abb instead)
     al = Alphabet(("a", "b"))
     return NormTable(al, [(("a", "a"), ("a", "b"))])
+
+
+def nonormal_table():
+    # idempotent, but b a is the only fixed pair, so no triple is normal
+    al = Alphabet(("a", "b"))
+    return NormTable(al, [((x, y), ("b", "a")) for x, y in ("aa", "ab", "bb")])
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +429,28 @@ def test_breadth_unbounded_coordinate():
     assert not b.finite
 
 
+def test_breadth_without_a_normal_triple():
+    t = nonormal_table()
+    b = breadth(t)
+    assert (b.d, b.p) == (UNBOUNDED, UNBOUNDED)
+    assert str(b.d_witness) == str(b.p_witness) == "a a a"
+    assert not condition_home(t)
+    assert not t._incremental()
+    assert len(verify_normalisation(t, 3).not_normalising) == 8
+
+
+def test_breadth_targets_the_p_walk_after_p_is_unbounded():
+    # p is unbounded from a a a on, where its walk cycles; from a b b the
+    # 1,2,1,... walk reaches a c b and the 2,1,2,... walk a c a, so d is
+    # unbounded there, although the d walk alone would stop at a normal word
+    rules = ("aaca", "abac", "baca", "bbca", "bcac", "ccca")
+    t = NormTable(Alphabet("abc"), [((r[0], r[1]), (r[2], r[3])) for r in rules])
+    b = breadth(t)
+    assert (b.d, b.p) == (UNBOUNDED, UNBOUNDED)
+    assert (str(b.d_witness), str(b.p_witness)) == ("a b b", "a a a")
+    assert b == walk_rule_breadth(t)
+
+
 @st.composite
 def idempotent_pair_maps(draw):
     """A pair map on 2-4 letters that rewrites at most a third of the pairs,
@@ -458,6 +489,35 @@ def test_breadth_equals_alternating_oracle(record_testsuite_property):
     check()
     assert longest
     record_testsuite_property("longest_finite_walk", max(longest))
+
+
+def test_breadth_equals_sweep_target_oracle(record_testsuite_property):
+    """Where the sweep-target oracle returns, breadth equals it, witnesses
+    and warning included.  Where it raises (a triple with no reachable
+    normal word, or two), breadth follows the walk rule: the target is the
+    normal word of the p walk, else of the d walk.  walk_rule_breadth checks
+    that rule on every example.  The number of examples on each side is
+    recorded as the suite properties ``oracle_returned`` and
+    ``oracle_raised``."""
+    sides = {"returned": 0, "raised": 0}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(idempotent_pair_maps())
+    def check(table):
+        got = breadth(table)
+        assert got == walk_rule_breadth(table)
+        try:
+            want = sweep_target_breadth(table)
+        except (NotNormalising, NotConfluent):
+            sides["raised"] += 1
+        else:
+            sides["returned"] += 1
+            assert got == want
+
+    check()
+    assert sides["returned"] and sides["raised"]
+    for side, n in sides.items():
+        record_testsuite_property(f"oracle_{side}", n)
 
 
 def test_gallery_breadth_gap_within_one():
