@@ -427,8 +427,9 @@ def _sweep(pairs, g: int, a: int, w: Sequence[int]) -> list[int]:
     """Carry the letter ``a`` through ``w``: at each letter b the table
     sends (a, b) to (c, d), c is written and d carried on.  Returns the
     written letters, then the last carried one: one left-to-right sweep of
-    the word a w, or on a Mealy machine's pair table the run from state
-    ``a`` over ``w``.  A normal word sweeps to itself, but so may a word
+    the word a w.  On a Mealy machine's pair table this is the run from
+    state ``a`` over ``w``, which machines compute with a loop that stops
+    at an idle state.  A normal word sweeps to itself, but so may a word
     that is not normal (a carried letter can be put back further on)."""
     res = []
     for b in w:

@@ -24,7 +24,13 @@ forward words.
 A machine is stored as its pair table in the flat encoding of ``NormTable``:
 (output, next state) of state q on letter i at index q * s + i over s
 letters.  So the sweeping transducer is the table's own pairs, and a run
-from q over w is the sweep ``core._sweep`` of the word q w.
+from q over w writes what the sweep ``core._sweep`` of the word q w writes.
+Machines list their *idle* states, those that write every letter they read
+and stay put.  Every run goes through one loop, :func:`_run_in_place`,
+which stops at the first idle state, since the rest of its output is the
+rest of its input.  In ``build_mealy(table)`` the unit is idle when the
+table sends (x, 1) to (1, x) for every x, so a run over unit padding ends
+once it carries the unit.
 
 Machines are immutable and all operations are pure.  Every memo table is
 per-call except one: the representative of each action class of length-2
@@ -60,10 +66,12 @@ class MealyMachine:
 
     ``next_table[q][i]`` and ``out_table[q][i]`` are indexed by state id
     and letter id; both are total.  The machine keeps them as one flat
-    pair table, (output, next state) at index q * s + i over s letters.
+    pair table, (output, next state) at index q * s + i over s letters,
+    and ``_idle[q]``, true when state q on every letter i writes i and
+    stays q.
     """
 
-    __slots__ = ("states", "alphabet", "_pairs", "_reps")
+    __slots__ = ("states", "alphabet", "_pairs", "_idle", "_reps")
 
     def __init__(
         self,
@@ -83,17 +91,22 @@ class MealyMachine:
         for row in out:
             if len(row) != s or not all(0 <= v < s for v in row):
                 raise GarnormError("output table is not total over the alphabet")
-        self.states = states
-        self.alphabet = alphabet
-        self._pairs = tuple(pair for o, n in zip(out, nxt) for pair in zip(o, n))
-        self._reps: tuple[tuple[int, int], ...] | None = None  # see _pair_reps
+        self._store(states, alphabet, tuple(pair for o, n in zip(out, nxt) for pair in zip(o, n)))
 
     @classmethod
     def _of_pairs(cls, states: Alphabet, alphabet: Alphabet, pairs) -> "MealyMachine":
         """The machine on a flat pair table that is already total."""
         m = cls.__new__(cls)
-        m.states, m.alphabet, m._pairs, m._reps = states, alphabet, pairs, None
+        m._store(states, alphabet, pairs)
         return m
+
+    def _store(self, states: Alphabet, alphabet: Alphabet, pairs) -> None:
+        s = len(alphabet)
+        self.states, self.alphabet, self._pairs = states, alphabet, pairs
+        self._idle = tuple(
+            all(pairs[x * s + i] == (i, x) for i in range(s)) for x in range(len(states))
+        )
+        self._reps: tuple[tuple[int, int], ...] | None = None  # see _pair_reps
 
     def _pair(self, q: Symbol | str, i: Symbol | str) -> tuple[int, int]:
         return self._pairs[self.states[q].id * len(self.alphabet) + self.alphabet[i].id]
@@ -188,15 +201,33 @@ def dual(m: MealyMachine) -> MealyMachine:
 # running
 
 
+def _run_in_place(m: MealyMachine, qs: Iterable[int], ids: list[int]) -> int:
+    """Run the states ``qs`` one after another over ``ids``, rewriting it in
+    place; the arrival state of the last run.  A run stops at the first
+    idle state, which would write the letters left as they are."""
+    pairs, s, idle = m._pairs, len(m.alphabet), m._idle
+    for q in qs:
+        j = 0
+        try:
+            while not idle[q]:
+                ids[j], q = pairs[q * s + ids[j]]
+                j += 1
+        except IndexError:  # ids[j] past the end: the run read every letter
+            pass
+    return q
+
+
 def _run_ids(m: MealyMachine, q: int, ids: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    res = _sweep(m._pairs, len(m.alphabet), q, ids)
-    final = res.pop()
+    res = list(ids)
+    final = _run_in_place(m, (q,), res)
     return tuple(res), final
 
 
 def run(m: MealyMachine, x: Symbol | str, w: Word) -> tuple[Word, Symbol]:
     """Feed ``w`` from state ``x``; the output word and the arrival state.
-    The empty word maps to itself."""
+    The empty word maps to itself.  Once the run reaches an idle state (one
+    that on every letter writes that letter and stays), the rest of ``w``
+    is copied and that state is the arrival state."""
     res, final = _run_ids(m, m.states[x].id, m.alphabet.ids(w))
     return _word_from_ids(m.alphabet, res), m.states.symbols[final]
 
@@ -204,11 +235,9 @@ def run(m: MealyMachine, x: Symbol | str, w: Word) -> tuple[Word, Symbol]:
 def _run_word_ids(m: MealyMachine, u: Word, ids: tuple[int, ...]) -> list[int]:
     if len(u) == 0:
         raise GarnormError("the state word must be non-empty")
-    pairs, s = m._pairs, len(m.alphabet)
-    for q in m.states.ids(u):
-        ids = _sweep(pairs, s, q, ids)
-        ids.pop()  # the arrival state
-    return ids
+    res = list(ids)
+    _run_in_place(m, m.states.ids(u), res)
+    return res
 
 
 def run_word(m: MealyMachine, u: Word, w: Word) -> Word:
@@ -432,7 +461,10 @@ def padding_normal_form(m: MealyMachine, unit: Symbol | str, u: Word, n: int) ->
     machine alone: run ``u`` on n copies of the unit and reverse the output.
 
     For a machine built from a table with this unit whose breadth satisfies
-    p <= 3, the result equals ``1**(n - |u|) + normalize(u)``.
+    p <= 3, the result equals ``1**(n - |u|) + normalize(u)``.  In
+    ``build_mealy(table)`` the unit state is idle iff the table sends
+    (x, 1) to (1, x) for every letter x; then each run of a letter of ``u``
+    stops once it carries the unit instead of reading all n letters.
     """
     if n < len(u):
         raise GarnormError(f"padding length {n} is shorter than the state word ({len(u)})")

@@ -21,7 +21,7 @@ from garnorm import (
     Symbol,
     Word,
 )
-from garnorm.core import DEFAULT_NODE_BUDGET, _sweep_normalize_ids, _word_from_ids
+from garnorm.core import DEFAULT_NODE_BUDGET, _sweep, _sweep_normalize_ids, _word_from_ids
 from garnorm.greedy import FamilyClosureReport, _search_for, family_unit
 
 
@@ -264,6 +264,34 @@ def transition_tables(m) -> tuple[list[list[int]], list[list[int]]]:
     return nxt, out
 
 
+def idle_flags(m) -> tuple[bool, ...]:
+    """Per state id, whether the state writes every letter it reads and
+    stays put, read through the public ``transitions`` listing."""
+    idle = [True] * len(m.states)
+    for q, i, nq, o in m.transitions():
+        if nq != q or o != i:
+            idle[q.id] = False
+    return tuple(idle)
+
+
+def sweep_run(m, q: int, ids) -> tuple[tuple[int, ...], int]:
+    """The run of state id ``q`` over letter ids as one whole sweep of the
+    machine's pair table (``core._sweep``), reading every letter even after
+    an idle state: (output ids, arrival state id)."""
+    res = _sweep(m._pairs, len(m.alphabet), q, ids)
+    return tuple(res[:-1]), res[-1]
+
+
+def sweep_run_word(m, qs, ids) -> tuple[tuple[int, ...], list[int]]:
+    """The state ids ``qs`` run one after another by :func:`sweep_run`:
+    (final output ids, arrival state id of each run)."""
+    arrivals = []
+    for q in qs:
+        ids, final = sweep_run(m, q, ids)
+        arrivals.append(final)
+    return tuple(ids), arrivals
+
+
 def _thread(tables, tup: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
     """Letter ``j`` through the states of ``tup`` in turn: (last output,
     next states)."""
@@ -343,7 +371,7 @@ def all_pairs_factorisations(search, e: tuple[int, ...], reps, maxlen: int):
 
 def all_pairs_right_divisors(monoid, e: Word, family) -> set:
     family = tuple(family)
-    reps = [f.rep.ids() for f in family]
+    reps = [monoid.atoms.ids(f.rep) for f in family]
     maxlen = max((len(r) for r in reps), default=0)
     pairs = all_pairs_factorisations(_search_for(monoid), monoid.atoms.ids(e), reps, maxlen)
     return {family[d] for _, d in pairs}
@@ -363,7 +391,7 @@ def pairwise_greedy_table(monoid, family, unit=None) -> NormTable:
             "the family must contain the unit (one element with an empty representative)"
         )
     search = _search_for(monoid)
-    reps = [f.rep.ids() for f in family]
+    reps = [monoid.atoms.ids(f.rep) for f in family]
     maxlen = max(len(r) for r in reps)
 
     def divides(i: int, j: int) -> bool:
@@ -420,7 +448,7 @@ def unmemoised_family_closure(monoid, family) -> FamilyClosureReport:
     family = tuple(family)
     report = FamilyClosureReport()
     search = _search_for(monoid)
-    reps = {f: f.rep.ids() for f in family}
+    reps = {f: monoid.atoms.ids(f.rep) for f in family}
     maxlen = max((len(r) for r in reps.values()), default=0)
     window = 2 * maxlen + monoid.length_slack
     atoms = monoid.atoms

@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from garnorm import (
     Alphabet,
@@ -27,7 +29,14 @@ from garnorm import (
     tuple_action_classes,
 )
 from garnorm.core import NotIdempotent, NormTable
-from helpers import all_words, int_to_digits_lsb, word_to_int
+from helpers import (
+    all_words,
+    idle_flags,
+    int_to_digits_lsb,
+    sweep_run,
+    sweep_run_word,
+    word_to_int,
+)
 
 bicyclic = gallery("bicyclic").table
 plactic2 = gallery("plactic2").table
@@ -346,6 +355,99 @@ def test_padding_needs_small_p():
     got = padding_normal_form(m, "1", u, 3)
     assert str(got) == "1 a 1"
     assert got != normalize(bicyclic, u)
+
+
+def test_padding_equals_normalize_on_long_words():
+    # at |u| <= 4 a run over the padding barely goes idle before the end;
+    # here most of each run is the copy an idle unit state skips
+    rng = random.Random("padding-long-words")
+    for table in HOME_UNIT_TABLES:
+        m, unit = build_mealy(table), table.unit
+        for _ in range(6):
+            u = Word(rng.choices(table.alphabet.symbols, k=rng.randint(16, 64)))
+            nf = normalize(table, u)
+            for pad in (0, 1, 5):
+                got = padding_normal_form(m, unit, u, len(u) + pad)
+                assert got == Word([unit] * pad) + nf
+
+
+bicyclic_mealy = build_mealy(bicyclic)
+
+
+@st.composite
+def machines_with_idle_states(draw):
+    """A machine on 1-4 states and 1-4 letters, drawn apart, with 0, 1 or
+    2 states planted idle (state 0 is named 1, the others q1, q2, ...), or
+    the Mealy machine of the bicyclic table; then a state word of length
+    1-5, an input word and a padding length up to 40, and a padding
+    letter."""
+    if draw(st.integers(0, 5)) == 0:
+        m = bicyclic_mealy
+    else:
+        q, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        nxt = [draw(st.lists(st.integers(0, q - 1), min_size=s, max_size=s)) for _ in range(q)]
+        out = [draw(st.lists(st.integers(0, s - 1), min_size=s, max_size=s)) for _ in range(q)]
+        for x in draw(st.lists(st.integers(0, q - 1), max_size=2, unique=True)):
+            nxt[x], out[x] = [x] * s, list(range(s))
+        states = Alphabet(["1"] + [f"q{x}" for x in range(1, q)])
+        m = MealyMachine(states, Alphabet([f"x{i}" for i in range(s)]), nxt, out)
+    q, s = len(m.states), len(m.alphabet)
+    u = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=5))
+    w = draw(st.lists(st.integers(0, s - 1), max_size=40))
+    n = draw(st.integers(len(u), 40))
+    return m, tuple(u), tuple(w), n, draw(st.integers(0, s - 1))
+
+
+def test_runs_equal_whole_sweeps(record_testsuite_property):
+    """Runs that stop at an idle state give what whole sweeps give:
+    ``run``, ``run_word``, ``numeration_iterate`` and ``padding_normal_form``
+    against ``helpers.sweep_run``.  The examples where a run of ``u`` over
+    ``w`` arrives at an idle state named 1, or at one named otherwise, are
+    counted, as are the machines with no idle state and the bicyclic
+    examples; each count is recorded as a suite property and must be
+    positive."""
+    seen = {"no_idle": 0, "stop_at_1": 0, "stop_elsewhere": 0, "bicyclic": 0}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(machines_with_idle_states())
+    def check(case):
+        m, u, w, n, unit = case
+        idle = idle_flags(m)
+        assert m._idle == idle
+        word = lambda al, ids: Word(al.symbols[i] for i in ids)
+        uw, ww = word(m.states, u), word(m.alphabet, w)
+
+        out, final = sweep_run(m, u[0], w)
+        assert run(m, uw[0], ww) == (word(m.alphabet, out), m.states.symbols[final])
+        want, arrivals = sweep_run_word(m, u, w)
+        assert run_word(m, uw, ww) == word(m.alphabet, want)
+        padded, _ = sweep_run_word(m, u, (unit,) * n)
+        got = padding_normal_form(m, m.alphabet.symbols[unit], uw, n)
+        assert got == word(m.alphabet, padded[::-1])
+
+        ids, collected, words = w, [], [ww]
+        for _ in range(3):
+            ids, final = sweep_run(m, u[0], ids)
+            collected.append(m.states.symbols[final])
+            words.append(word(m.alphabet, ids))
+        r = numeration_iterate(m, uw[0], ww, 3)
+        assert (r.collected, r.words) == (Word(collected), tuple(words))
+
+        if m is bicyclic_mealy:
+            seen["bicyclic"] += 1
+        if not any(idle):
+            seen["no_idle"] += 1
+        if len(w) > 1:
+            for q in arrivals:
+                if idle[q]:
+                    named_1 = m.states.symbols[q].name == "1"
+                    seen["stop_at_1" if named_1 else "stop_elsewhere"] += 1
+                    break
+
+    check()
+    for key, count in seen.items():
+        record_testsuite_property(key, count)
+        assert count > 0, key
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,9 @@ def test_emitted_table_reparses_to_the_same_text(table):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(presentations_with_families())
 def test_emitted_presentation_reparses_to_the_same_text(case):
-    atoms, relations, entries, _ = case
+    atoms, relations, entries, _, spelling = case
     monoid = PresentedMonoid(atoms, tuple((atoms.word(l), atoms.word(r)) for l, r in relations))
-    text = emit_presentation(monoid, make_family(atoms, entries))
+    text = emit_presentation(monoid, make_family(spelling, entries))
     monoid2, family2, _ = parse_presentation(text)
     assert emit_presentation(monoid2, family2) == text
 
