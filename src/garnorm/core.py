@@ -334,6 +334,14 @@ class NormTable:
         self._pairs: tuple[tuple[int, int], ...] = tuple(pairs)
         self._home: bool | None = None  # see _incremental
 
+    @classmethod
+    def _of_pairs(cls, alphabet: Alphabet, pairs) -> "NormTable":
+        """The table without a unit on a flat pair table that is already
+        total."""
+        t = cls.__new__(cls)
+        t.alphabet, t.unit, t._pairs, t._home = alphabet, None, pairs, None
+        return t
+
     def _index(self, a: Symbol | str, b: Symbol | str) -> int:
         al = self.alphabet
         return al[a].id * len(al) + al[b].id

@@ -33,11 +33,12 @@ table sends (x, 1) to (1, x) for every x, so a run over unit padding ends
 once it carries the unit.
 
 Machines are immutable and all operations are pure.  Every memo table is
-per-call except one: the representative of each action class of length-2
-state words, computed on first use and kept on the machine (see
-:func:`_pair_reps`).  It is written once, without a lock; two threads that
-race compute the same tuple, and either assignment leaves a correct value,
-so concurrent readers are safe.
+per-call except two, each computed on first use and kept on the machine:
+the representative of each action class of length-2 state words (see
+:func:`_pair_reps`), and the fixed pairs behind the gate of :func:`growth`
+(see :func:`_fixed_pairs`).  Each is written once, without a lock; two
+threads that race compute the same tuple, and either assignment leaves a
+correct value, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class MealyMachine:
     stays q.
     """
 
-    __slots__ = ("states", "alphabet", "_pairs", "_idle", "_reps")
+    __slots__ = ("states", "alphabet", "_pairs", "_idle", "_reps", "_fixed")
 
     def __init__(
         self,
@@ -107,6 +108,7 @@ class MealyMachine:
             all(pairs[x * s + i] == (i, x) for i in range(s)) for x in range(len(states))
         )
         self._reps: tuple[tuple[int, int], ...] | None = None  # see _pair_reps
+        self._fixed: tuple[tuple[int, ...], ...] | None = None  # see _fixed_pairs
 
     def _pair(self, q: Symbol | str, i: Symbol | str) -> tuple[int, int]:
         return self._pairs[self.states[q].id * len(self.alphabet) + self.alphabet[i].id]
@@ -446,10 +448,69 @@ def tuple_action_classes(m: MealyMachine, length: int) -> dict[tuple[Symbol, ...
     }
 
 
+def _fixed_pairs(m: MealyMachine) -> tuple[tuple[int, ...], ...]:
+    """At index b, the letters a whose pair (a, b) the table T of ``m``
+    fixes, when ``m`` passes the gate of :func:`growth`; the empty tuple
+    for every other machine.  Computed once per machine and kept in
+    ``m._fixed``, written once without a lock as ``m._reps`` is."""
+    fixed = m._fixed
+    if fixed is None:
+        fixed, g = (), len(m.alphabet)
+        if m.states == m.alphabet:
+            pairs = dual(m)._pairs
+            if any(
+                m._idle[u] and all(pairs[u * g + x] == (u, x) for x in range(g))
+                for u in range(g)
+            ) and NormTable._of_pairs(m.alphabet, pairs)._incremental():
+                fixed = tuple(
+                    tuple(a for a in range(g) if pairs[a * g + b] == (a, b)) for b in range(g)
+                )
+        m._fixed = fixed
+    return fixed
+
+
 def growth(m: MealyMachine, max_len: int = 5) -> list[int]:
     """Entry k: the number of action-equality classes of state words of
-    length exactly k+1, found among the reduced tuples only."""
-    return [len(set(_refine(outs, succs))) for _, outs, succs in _levels(m, max_len)]
+    length exactly k+1.
+
+    A machine that passes the gate below gets the number of normal words
+    of length k+1, counted as the walks of k steps through the pairs its
+    table fixes: O(k * g**2) integer work.  Every other machine refines
+    its levels of reduced state tuples (see :func:`_levels`).
+
+    The gate reads only the machine's own pairs, so a machine built here
+    and one read from a file take the same route.  Let T be the table
+    whose pairs are those of ``dual(m)``, so that m is the dual of T's
+    sweeping transducer, as ``build_mealy(T)`` is.  The machine passes
+    when (a) its states are its letters, (b) T is idempotent and
+    satisfies :func:`condition_home`, and (c) some letter 1 is an idle
+    state, that is T sends (x, 1) to (1, x), and T fixes every (1, x).
+    At most one letter meets (c): for two, u and v, T would send (u, v)
+    both to (v, u) and to itself.  Then m is the Mealy machine of a table
+    of class (4,3) with a unit, and the classes of length k are the
+    normal words of length k:
+
+    - distinct normal words act differently: :func:`padding_normal_form`
+      reads the unit-padded normal form of a state word back from its
+      action on units, and a normal word is its own normal form;
+    - equal elements act alike: the action is the monoid's own, so each
+      state word acts as its normal form, which has the same length;
+    - on a home table the normal words are exactly the words whose
+      adjacent pairs are all fixed (see ``verify_normalisation``).
+
+    Each clause is needed.  bicyclic has a unit but is not home: 3, 7, 14
+    classes at lengths 1-3 against 3, 6, 10 normal words.  The zero table
+    on {a, b} (every pair to a a) is home with no unit: one class at each
+    length against 2, 1, 1 walks.
+    """
+    fixed = _fixed_pairs(m)
+    if not fixed:
+        return [len(set(_refine(outs, succs))) for _, outs, succs in _levels(m, max_len)]
+    counts, ends = [], [1] * len(fixed)  # ends[b]: normal words ending in b
+    for _ in range(max_len):
+        counts.append(sum(ends))
+        ends = [sum(ends[a] for a in before) for before in fixed]
+    return counts
 
 
 # ---------------------------------------------------------------------------

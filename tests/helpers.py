@@ -23,6 +23,7 @@ from garnorm import (
 )
 from garnorm.core import DEFAULT_NODE_BUDGET, _sweep, _sweep_normalize_ids, _word_from_ids
 from garnorm.greedy import FamilyClosureReport, _search_for, family_unit
+from garnorm.machines import _levels, _refine
 
 
 def brute_normal_forms(table: NormTable, w: Word) -> set[Word]:
@@ -327,6 +328,13 @@ def bfs_distinguishing_word(m, u: Word, v: Word) -> Word | None:
                 parent[child] = (cur, j)
                 queue.append(child)
     return None
+
+
+def refined_growth(m, max_len: int) -> list[int]:
+    """The number of action classes of state words of each length 1 ..
+    ``max_len``, by partition refinement of the reduced state tuples of
+    every length, whatever the machine."""
+    return [len(set(_refine(outs, succs))) for _, outs, succs in _levels(m, max_len)]
 
 
 def product_action_class_ids(m, length: int) -> list[int]:

@@ -74,6 +74,7 @@ GALLERY_CASES = [
     ["growth", "gallery:plactic2", "--max", "3"],
     ["growth", "gallery:braid3", "--max", "6"],
     ["growth", "gallery:bicyclic", "--max", "5"],
+    ["growth", "gallery:malcev", "--max", "12"],
     ["greedy", "gallery:bs10"],
     ["greedy", "gallery:braid3"],
     ["gallery", "bs10"],

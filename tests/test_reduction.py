@@ -5,7 +5,9 @@ tuples, and Moore refinement of the whole q**k product machine.
 The machines are every gallery machine and its dual, the Mealy and
 sweeping machines of every idempotent gallery table, and seeded random
 machines; the answers (witness or None, class ids, counts) must be
-identical, not merely equivalent.
+identical, not merely equivalent.  ``growth`` counts normal words on the
+machines that pass its gate, and is checked there against the refinement
+it skips, ``helpers.refined_growth``.
 """
 
 import itertools
@@ -31,8 +33,15 @@ from garnorm import (
     minimize,
     tuple_action_classes,
 )
-from garnorm.core import condition_home
-from helpers import bfs_distinguishing_word, product_action_class_ids, transition_tables
+from garnorm.core import NormTable, condition_home
+from garnorm.machines import _fixed_pairs
+from garnorm.shell import emit_machine, parse_machine
+from helpers import (
+    bfs_distinguishing_word,
+    product_action_class_ids,
+    refined_growth,
+    transition_tables,
+)
 
 
 def gallery_cases():
@@ -139,21 +148,97 @@ def test_tuple_classes_are_keyed_in_product_order():
 HOME = [e for e in gallery_tables() if condition_home(e.table)]
 
 
-@pytest.mark.parametrize("entry", HOME, ids=[e.name for e in HOME])
-def test_growth_counts_normal_words_on_home_tables(entry):
-    """On a home table with a unit, the action classes of state words of
-    length k are the normal words of length k, and those are the walks of
-    k - 1 steps through the fixed pairs: the sum of the entries of A**(k-1)
-    for the 0/1 matrix A of fixed pairs."""
-    t = entry.table
+def walk_counts(t: NormTable, max_len: int) -> list[int]:
+    """The walks of k - 1 steps through the pairs ``t`` fixes, for k = 1 ..
+    ``max_len``: the sum of the entries of A**(k-1) for the 0/1 matrix A
+    of fixed pairs."""
     g = len(t.alphabet)
     fixed = [[int(t._pairs[a * g + b] == (a, b)) for b in range(g)] for a in range(g)]
-    max_len = 8 if g <= 6 else 4
     walks, counts = [1] * g, []  # walks[b]: normal words ending in b
     for _ in range(max_len):
         counts.append(sum(walks))
         walks = [sum(walks[a] * fixed[a][b] for a in range(g)) for b in range(g)]
-    assert growth(build_mealy(t), max_len) == counts
+    return counts
+
+
+@pytest.mark.parametrize("entry", HOME, ids=[e.name for e in HOME])
+def test_growth_counts_normal_words_on_home_tables(entry):
+    """On a home table with a unit, the action classes of state words of
+    length k are the normal words of length k, and those are the walks of
+    k - 1 steps through the fixed pairs."""
+    t = entry.table
+    max_len = 8 if len(t.alphabet) <= 6 else 4
+    m = build_mealy(t)
+    assert growth(m, max_len) == refined_growth(m, max_len) == walk_counts(t, max_len)
+
+
+ZERO = NormTable(Alphabet(["a", "b"]), {("a", "b"): ("a", "a"), ("b", "a"): ("a", "a"),
+                                        ("b", "b"): ("a", "a")})
+
+GATE_CASES = [
+    # a unit, but not home (p = 4): more classes than normal words
+    ("mealy bicyclic", build_mealy(gallery("bicyclic").table), False, [3, 7, 14, 25]),
+    # home, but no unit: fewer classes than walks
+    ("mealy zero", build_mealy(ZERO), False, [1, 1, 1, 1]),
+    # sweeping transducers, read as Mealy machines: plactic2's passes (the
+    # table of its dual is home, with a unit), bs32's has no idle state
+    ("thurston plactic2", build_thurston(gallery("plactic2").table), True,
+     [4, 10, 20, 35, 56, 84]),
+    ("thurston bs32", build_thurston(gallery("bs32").table), False, [8, 64, 428]),
+]
+
+
+@pytest.mark.parametrize("name, m, gated, want", GATE_CASES, ids=[c[0] for c in GATE_CASES])
+def test_gate_is_a_property_of_the_machine(name, m, gated, want):
+    assert bool(_fixed_pairs(m)) is gated
+    assert growth(m, len(want)) == refined_growth(m, len(want)) == want
+
+
+def test_gate_clauses_are_each_needed():
+    """Walks through the fixed pairs miscount the classes on the machines
+    the gate excludes for a missing clause."""
+    assert walk_counts(gallery("bicyclic").table, 4) == [3, 6, 10, 15]
+    assert walk_counts(ZERO, 4) == [2, 1, 1, 1]
+    assert ZERO._incremental()
+
+
+@st.composite
+def idempotent_pair_maps(draw):
+    """An idempotent pair map on 2-5 letters, with or without a unit 1 that
+    sends (x, 1) to (1, x) and fixes (1, x): each other pair is fixed or
+    sent to a fixed pair."""
+    g = draw(st.integers(2, 5))
+    with_unit = draw(st.booleans())
+    names = ("1",) * with_unit + tuple("abcde")[: g - with_unit]
+    free = [p for p in itertools.product(range(g), repeat=2) if not (with_unit and 0 in p)]
+    rules = {(x, 0): (0, x) for x in range(1, g)} if with_unit else {}
+    fixed = [p for p in free if draw(st.booleans())] or free[:1]
+    fixed += [(0, x) for x in range(g)] if with_unit else []
+    rules.update((p, draw(st.sampled_from(fixed))) for p in free if p not in fixed)
+    named = [((names[a], names[b]), (names[c], names[d])) for (a, b), (c, d) in rules.items()]
+    return NormTable(Alphabet(names), named)
+
+
+def test_growth_matches_refinement_on_random_pair_maps(record_testsuite_property):
+    """``growth`` of the Mealy machine of a random idempotent pair map
+    against ``helpers.refined_growth``, to length 5 (4 on 5 letters).  The
+    examples that pass the normal-word gate and those that fail it are
+    counted; each count is recorded as a suite property and must be
+    positive."""
+    seen = {"gate_passed": 0, "gate_failed": 0}
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(idempotent_pair_maps())
+    def check(t):
+        m = build_mealy(t)
+        k = 4 if len(t.alphabet) == 5 else 5
+        assert growth(m, k) == refined_growth(m, k)
+        seen["gate_passed" if _fixed_pairs(m) else "gate_failed"] += 1
+
+    check()
+    for key, count in seen.items():
+        record_testsuite_property(key, count)
+        assert count > 0, key
 
 
 def test_home_gallery_tables():
@@ -200,6 +285,23 @@ def test_representatives_are_cached_outside_equality():
     assert all(reps[a * len(m.states) + b] == (a, b) for a, b in reps)
 
 
+def test_gate_is_cached_outside_equality():
+    t = gallery("malcev").table
+    m, fresh = build_mealy(t), build_mealy(t)
+    assert m._fixed is None
+    want = growth(m, 5)
+    fixed = m._fixed
+    assert fixed and m._reps is None  # counted: no representatives needed
+    assert fresh._fixed is None
+    assert m == fresh and hash(m) == hash(fresh)
+    assert growth(m, 5) == want
+    assert m._fixed is fixed  # written once, then reused
+    parsed = parse_machine(emit_machine(m))
+    assert parsed == m and parsed._fixed is None
+    assert growth(parsed, 5) == want
+    assert parsed._fixed == fixed
+
+
 def test_length_one_words_need_no_representatives():
     div3 = gallery("div3").machine
     m = MealyMachine(div3.states, div3.alphabet, *transition_tables(div3))
@@ -210,16 +312,17 @@ def test_length_one_words_need_no_representatives():
 
 
 def test_threads_racing_on_first_use_all_get_the_oracle_answers():
-    """The representatives are written without a lock: threads that race
-    on a fresh machine each compute the same tuple, so every answer holds."""
+    """The representatives and the gate of ``growth`` are written without a
+    lock: threads that race on a fresh machine each compute the same
+    tuples, so every answer holds."""
     t = gallery("braid3").table
     m = build_mealy(t)
     pairs = sample_pairs(m, random.Random("threads"), per_length=2, congruent=2)
-    want = [bfs_distinguishing_word(m, u, v) for u, v in pairs]
+    want = [bfs_distinguishing_word(m, u, v) for u, v in pairs], walk_counts(t, 4)
     results = [None] * 8
 
     def work(i):
-        results[i] = [distinguishing_word(m, u, v) for u, v in pairs]
+        results[i] = [distinguishing_word(m, u, v) for u, v in pairs], growth(m, 4)
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
     interval = sys.getswitchinterval()
@@ -233,4 +336,4 @@ def test_threads_racing_on_first_use_all_get_the_oracle_answers():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert results == [want] * len(results)
-    assert m._reps is not None
+    assert m._reps is not None and m._fixed
