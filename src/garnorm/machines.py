@@ -33,12 +33,14 @@ table sends (x, 1) to (1, x) for every x, so a run over unit padding ends
 once it carries the unit.
 
 Machines are immutable and all operations are pure.  Every memo table is
-per-call except two, each computed on first use and kept on the machine:
+per-call except three, each computed on first use and kept on the machine:
 the representative of each action class of length-2 state words (see
-:func:`_pair_reps`), and the fixed pairs behind the gate of :func:`growth`
-(see :func:`_fixed_pairs`).  Each is written once, without a lock; two
-threads that race compute the same tuple, and either assignment leaves a
-correct value, so concurrent readers are safe.
+:func:`_pair_reps`), the fixed pairs behind the gate of :func:`growth`
+(see :func:`_fixed_pairs`), and whether the machine's own pairs form a
+home table, the gate of :func:`thurston_normalize` (see
+:func:`_sweeps_home`).  Each is written once, without a lock; two threads
+that race compute the same value, and either assignment leaves a correct
+value, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .core import (
     SweepBudgetExhausted,
     Symbol,
     Word,
+    _insert_ids,
     _is_normal_ids,
     _sweep,
     _word_from_ids,
@@ -72,7 +75,7 @@ class MealyMachine:
     stays q.
     """
 
-    __slots__ = ("states", "alphabet", "_pairs", "_idle", "_reps", "_fixed")
+    __slots__ = ("states", "alphabet", "_pairs", "_idle", "_reps", "_fixed", "_home")
 
     def __init__(
         self,
@@ -109,6 +112,7 @@ class MealyMachine:
         )
         self._reps: tuple[tuple[int, int], ...] | None = None  # see _pair_reps
         self._fixed: tuple[tuple[int, ...], ...] | None = None  # see _fixed_pairs
+        self._home: bool | None = None  # see _sweeps_home
 
     def _pair(self, q: Symbol | str, i: Symbol | str) -> tuple[int, int]:
         return self._pairs[self.states[q].id * len(self.alphabet) + self.alphabet[i].id]
@@ -533,21 +537,58 @@ def padding_normal_form(m: MealyMachine, unit: Symbol | str, u: Word, n: int) ->
     return _word_from_ids(m.alphabet, reversed(ids))
 
 
+def _sweeps_home(t: MealyMachine) -> bool:
+    """Whether the table with the pairs of ``t`` is idempotent and satisfies
+    :func:`condition_home`, for a machine whose states are its letters.
+    Computed once per machine and kept in ``t._home``, written once without
+    a lock as ``t._reps`` is."""
+    home = t._home
+    if home is None:
+        home = t._home = NormTable._of_pairs(t.alphabet, t._pairs)._incremental()
+    return home
+
+
 def thurston_normalize(t: MealyMachine, w: Word, max_sweeps: int | None = None) -> Word:
     """Normalise by iterated sweeps of the sweeping transducer.
 
     One sweep starts in state w[0], feeds w[1:], and replaces the word by
     the outputs followed by the arrival state; sweeps repeat until one
-    changes nothing, and the word must then be normal.  The default sweep
-    budget is |w|**2.
+    changes nothing, and the word must then be normal, or else
+    :class:`SweepBudgetExhausted` is raised.  The default sweep budget is
+    |w|**2.
+
+    When the pairs of ``t`` form a home table (idempotent and satisfying
+    :func:`condition_home`) and the budget is at least |w| - 1, the normal
+    form N(w) is computed by letter insertion, as ``normalize`` computes
+    it.  Smaller budgets, and every other machine, still sweep.  The sweeps
+    give the same word:
+
+    - Lemma: if the sweep of P (|P| >= 2) writes O and carries c, then
+      N(P) = N(O) c.  For |P| = 2 this is idempotence.  For P = P' p, where
+      the sweep of P' writes O' and carries c', the sweep of P writes O' o
+      and carries c, with (o, c) the image of (c', p).  By induction
+      N(P') = N(O') c', a normal word; inserting p into it first rewrites
+      (c', p) to (o, c), then inserts o into N(O'), so N(P) = N(O' o) c.
+    - Theorem: after k < |w| sweeps the word is P S with |S| = k and
+      N(w) = N(P) S.  The next sweep runs through P, writing O and
+      carrying c with N(P) = N(O) c; as N(O) c S is normal, (c, s1) is
+      fixed and the carry passes through S unchanged, so the word becomes
+      O (c S), which keeps the invariant.  So after at most |w| - 1 sweeps
+      the word is N(w), and the next sweep changes nothing.
+
+    The argument uses only what ``normalize`` relies on: insertion is exact
+    on home tables.  The bound is tight: on bs10, a a a a a b needs 5.
     """
     if t.states is not t.alphabet and t.states != t.alphabet:
         raise GarnormError("sweeping requires a machine whose states are its letters")
     if len(w) == 0:
         raise GarnormError("cannot normalise the empty word")
-    ids = list(t.alphabet.ids(w))
+    ids = t.alphabet.ids(w)
     budget = len(ids) ** 2 if max_sweeps is None else max_sweeps
     pairs, g = t._pairs, len(t.alphabet)
+    if budget >= len(ids) - 1 and _sweeps_home(t):
+        return _word_from_ids(t.alphabet, _insert_ids(pairs, g, ids))
+    ids = list(ids)
     for _ in range(budget):
         swept = _sweep(pairs, g, ids[0], ids[1:])
         if swept == ids:

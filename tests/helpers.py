@@ -15,13 +15,21 @@ from garnorm import (
     AmbiguousMaximum,
     Breadth,
     BudgetExhausted,
+    GarnormError,
     MissingUnit,
     NoFactorisation,
     NormTable,
+    SweepBudgetExhausted,
     Symbol,
     Word,
 )
-from garnorm.core import DEFAULT_NODE_BUDGET, _sweep, _sweep_normalize_ids, _word_from_ids
+from garnorm.core import (
+    DEFAULT_NODE_BUDGET,
+    _is_normal_ids,
+    _sweep,
+    _sweep_normalize_ids,
+    _word_from_ids,
+)
 from garnorm.greedy import FamilyClosureReport, _search_for, family_unit
 from garnorm.machines import _levels, _refine
 
@@ -291,6 +299,40 @@ def sweep_run_word(m, qs, ids) -> tuple[tuple[int, ...], list[int]]:
         ids, final = sweep_run(m, q, ids)
         arrivals.append(final)
     return tuple(ids), arrivals
+
+
+def sweep_thurston(t, w: Word, max_sweeps: int | None = None) -> Word:
+    """``thurston_normalize`` by sweeps alone, on every machine and budget:
+    sweep until a sweep changes nothing or the budget (default |w|**2) is
+    spent, then return the word if it is normal and raise
+    ``SweepBudgetExhausted`` if not."""
+    if t.states is not t.alphabet and t.states != t.alphabet:
+        raise GarnormError("sweeping requires a machine whose states are its letters")
+    if len(w) == 0:
+        raise GarnormError("cannot normalise the empty word")
+    ids = list(t.alphabet.ids(w))
+    budget = len(ids) ** 2 if max_sweeps is None else max_sweeps
+    pairs, g = t._pairs, len(t.alphabet)
+    for _ in range(budget):
+        swept = _sweep(pairs, g, ids[0], ids[1:])
+        if swept == ids:
+            break
+        ids = swept
+    if not _is_normal_ids(pairs, g, ids):
+        raise SweepBudgetExhausted(
+            f"word '{_word_from_ids(t.alphabet, ids)}' not normal after {budget} sweeps"
+        )
+    return _word_from_ids(t.alphabet, ids)
+
+
+def changing_sweeps(t, ids) -> int:
+    """How many sweeps of the machine's pair table change the letter ids
+    ``ids`` before one changes nothing.  The sweeps must reach a word they
+    fix, as they do on home tables."""
+    pairs, g, ids, count = t._pairs, len(t.alphabet), list(ids), 0
+    while (swept := _sweep(pairs, g, ids[0], ids[1:])) != ids:
+        ids, count = swept, count + 1
+    return count
 
 
 def _thread(tables, tup: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:

@@ -31,12 +31,15 @@ from garnorm import (
 from garnorm.core import NotIdempotent, NormTable
 from helpers import (
     all_words,
+    changing_sweeps,
     idle_flags,
     int_to_digits_lsb,
     sweep_run,
     sweep_run_word,
+    sweep_thurston,
     word_to_int,
 )
+from test_reduction import idempotent_pair_maps
 
 bicyclic = gallery("bicyclic").table
 plactic2 = gallery("plactic2").table
@@ -493,6 +496,79 @@ def test_thurston_matches_normalize_to_length_four():
         th = build_thurston(table)
         for w in all_words(table.alphabet, 4):
             assert thurston_normalize(th, w) == normalize(table, w)
+            assert sweep_thurston(th, w) == normalize(table, w)
+
+
+def test_at_most_length_minus_one_sweeps_change_a_word_on_home_tables():
+    """On every home gallery table, at most |w| - 1 sweeps change a word of
+    length <= 5.  The bound is reached at every length >= 2 except on the
+    finite groups, where one sweep carries the product to the end."""
+    for name in ("bs10", "bs32", "plactic2", "malcev", "braid3", "finite:Z/2", "finite:Z/3"):
+        th = build_thurston(gallery(name).table)
+        g = len(th.alphabet)
+        worst = [max(changing_sweeps(th, w) for w in itertools.product(range(g), repeat=n))
+                 for n in range(1, 6)]
+        assert worst == ([0, 1, 1, 1, 1] if name.startswith("finite:") else [0, 1, 2, 3, 4]), name
+
+
+def test_thurston_budget_boundary_on_a_word_that_needs_every_sweep():
+    th = build_thurston(bs10)
+    w = bs10.alphabet.word("a a a a a b")
+    assert changing_sweeps(th, bs10.alphabet.ids(w)) == len(w) - 1
+    with pytest.raises(SweepBudgetExhausted):
+        sweep_thurston(th, w, max_sweeps=4)
+    with pytest.raises(SweepBudgetExhausted):
+        thurston_normalize(th, w, max_sweeps=4)
+    want = bs10.alphabet.word("1 a a a a a")
+    assert normalize(bs10, w) == want
+    assert sweep_thurston(th, w, max_sweeps=5) == want
+    assert thurston_normalize(th, w, max_sweeps=5) == want
+
+
+@st.composite
+def pair_maps_words_and_budgets(draw):
+    """An idempotent pair map on 2-5 letters, a word of 1-30 letters over
+    it, and a sweep budget: the default, |w| - 2, |w| - 1 or 0-3."""
+    t = draw(idempotent_pair_maps())
+    ids = draw(st.lists(st.integers(0, len(t.alphabet) - 1), min_size=1, max_size=30))
+    n = len(ids)
+    budget = draw(st.sampled_from((None, n - 2, n - 1, 0, 1, 2, 3)))
+    return t, Word(t.alphabet.symbols[i] for i in ids), budget
+
+
+def test_thurston_matches_sweeps_on_random_pair_maps(record_testsuite_property):
+    """``thurston_normalize`` returns what ``helpers.sweep_thurston``
+    returns, or raises the same exception class.  The examples it answers
+    by insertion (a home table and a budget of at least |w| - 1), by sweeps
+    on a home table with a smaller budget, and by sweeps on a table that is
+    not home are counted; each count is recorded as a suite property and
+    must be positive."""
+    seen = {"inserted": 0, "swept_home": 0, "swept_not_home": 0}
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except GarnormError as exc:
+            return type(exc)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(pair_maps_words_and_budgets())
+    def check(case):
+        t, w, budget = case
+        th = build_thurston(t)
+        got = outcome(thurston_normalize, th, w, budget)
+        assert got == outcome(sweep_thurston, th, w, budget)
+        if not t._incremental():
+            seen["swept_not_home"] += 1
+        elif budget is None or budget >= len(w) - 1:
+            seen["inserted"] += 1
+        else:
+            seen["swept_home"] += 1
+
+    check()
+    for key, count in seen.items():
+        record_testsuite_property(key, count)
+        assert count > 0, key
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from garnorm import (
     gallery_tables,
     growth,
     minimize,
+    thurston_normalize,
     tuple_action_classes,
 )
 from garnorm.core import NormTable, condition_home
@@ -40,6 +41,7 @@ from helpers import (
     bfs_distinguishing_word,
     product_action_class_ids,
     refined_growth,
+    sweep_thurston,
     transition_tables,
 )
 
@@ -312,17 +314,20 @@ def test_length_one_words_need_no_representatives():
 
 
 def test_threads_racing_on_first_use_all_get_the_oracle_answers():
-    """The representatives and the gate of ``growth`` are written without a
-    lock: threads that race on a fresh machine each compute the same
-    tuples, so every answer holds."""
+    """The representatives, the gate of ``growth`` and the gate of
+    ``thurston_normalize`` are written without a lock: threads that race on
+    fresh machines each compute the same values, so every answer holds."""
     t = gallery("braid3").table
-    m = build_mealy(t)
+    m, sweeper = build_mealy(t), build_thurston(t)
     pairs = sample_pairs(m, random.Random("threads"), per_length=2, congruent=2)
-    want = [bfs_distinguishing_word(m, u, v) for u, v in pairs], walk_counts(t, 4)
+    words = [Word(t.alphabet.symbols[k % 6] for k in range(n)) for n in range(1, 9)]
+    want = ([bfs_distinguishing_word(m, u, v) for u, v in pairs], walk_counts(t, 4),
+            [sweep_thurston(sweeper, w) for w in words])
     results = [None] * 8
 
     def work(i):
-        results[i] = [distinguishing_word(m, u, v) for u, v in pairs], growth(m, 4)
+        results[i] = ([distinguishing_word(m, u, v) for u, v in pairs], growth(m, 4),
+                      [thurston_normalize(sweeper, w) for w in words])
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
     interval = sys.getswitchinterval()
@@ -336,4 +341,4 @@ def test_threads_racing_on_first_use_all_get_the_oracle_answers():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert results == [want] * len(results)
-    assert m._reps is not None and m._fixed
+    assert m._reps is not None and m._fixed and sweeper._home
