@@ -28,10 +28,11 @@ of :mod:`garnorm.machines`, share one encoding: a flat tuple of image
 pairs indexed ``a * g + b`` for the pair (a, b) over g letters.
 
 All values are immutable after construction and all operations are pure
-functions of their inputs, so concurrent read-only use is safe.  The one
-cached value, whether a table satisfies ``condition_home``, is computed on
-first use and written once; concurrent first uses compute the same value,
-so the unlocked write is harmless.
+functions of their inputs, so concurrent read-only use is safe.  Two
+values are computed on first use and written once: whether a table
+satisfies ``condition_home``, and the letters of a word built from ids.
+Concurrent first uses compute equal values, so the unlocked writes are
+harmless.
 """
 
 from __future__ import annotations
@@ -147,11 +148,13 @@ class Symbol:
 
     Two symbols of one alphabet are equal iff their ids are equal; names
     within one alphabet are pairwise distinct, so either determines the
-    other.
+    other.  ``alphabet`` is the :class:`Alphabet` that made the symbol, or
+    None for a symbol made by hand; it takes no part in equality.
     """
 
     id: int
     name: str
+    alphabet: Alphabet | None = field(default=None, init=False, compare=False, repr=False)
 
     def __str__(self) -> str:
         return self.name
@@ -189,6 +192,7 @@ class Alphabet:
             if name in by_name:
                 raise AlphabetError(f"duplicate symbol name {name!r}")
             sym = Symbol(i, name)
+            object.__setattr__(sym, "alphabet", self)
             symbols.append(sym)
             by_name[name] = sym
         self.symbols: tuple[Symbol, ...] = tuple(symbols)
@@ -224,7 +228,7 @@ class Alphabet:
         return tuple(s.name for s in self.symbols)
 
     def word_of(self, names: Iterable[str]) -> "Word":
-        return Word(self[n] for n in names)
+        return _word_from_ids(self, [self[n].id for n in names])
 
     def word(self, text: str, compact: bool = False) -> "Word":
         """Parse a word from text.
@@ -239,12 +243,15 @@ class Alphabet:
         if not compact and len(tokens) == 1 and tokens[0] not in by_name:
             compact = all(ch in by_name for ch in tokens[0])
         if compact:
-            return Word(self[ch] for tok in tokens for ch in tok)
+            tokens = [ch for tok in tokens for ch in tok]
         return self.word_of(tokens)
 
     def ids(self, w: Iterable[Symbol]) -> tuple[int, ...]:
         """The ids in this alphabet of the letters of ``w``, matched by name,
-        so a word over any alphabet with these names is accepted."""
+        so a word over any alphabet with these names is accepted.  A word
+        over this very alphabet gives the id tuple it keeps."""
+        if isinstance(w, Word) and w._alphabet is self:
+            return w._ids
         by_name = self._by_name
         try:
             return tuple(by_name[s.name].id for s in w)
@@ -253,22 +260,45 @@ class Alphabet:
 
 
 class Word:
-    """An immutable sequence of symbols from one alphabet.
+    """An immutable sequence of symbols.
 
+    A word keeps its letter ids and, when one alphabet made all its
+    letters, that alphabet, whose symbols give the letters on first use.
     Concatenation is ``+``, reversal is :meth:`reverse`, and slicing
     returns words.  Equality and hashing are structural.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ("_alphabet", "_ids", "letters")
 
     def __init__(self, letters: Iterable[Symbol] = ()):
-        object.__setattr__(self, "letters", tuple(letters))
+        letters = tuple(letters)
+        alphabet = letters[0].alphabet if letters else None
+        ids = []
+        for s in letters:
+            if s.alphabet is not alphabet:
+                alphabet = None
+            ids.append(s.id)
+        _set_alphabet(self, alphabet)
+        _set_ids(self, tuple(ids))
+        _set_letters(self, letters)
+
+    def __getattr__(self, name):
+        # reached only while the letters slot is empty
+        if name != "letters":
+            raise AttributeError(f"'Word' object has no attribute {name!r}")
+        syms = self._alphabet.symbols
+        letters = tuple([syms[i] for i in self._ids])
+        _set_letters(self, letters)
+        return letters
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Word is immutable")
+
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[Symbol]:
         return iter(self.letters)
@@ -282,13 +312,18 @@ class Word:
         return Word(self.letters + other.letters)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
+        if not isinstance(other, Word) or self._ids != other._ids:
+            return False
+        # over one alphabet, equal ids are equal letters
+        same = self._alphabet is not None and self._alphabet is other._alphabet
+        return same or self.letters == other.letters
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        # equal words have equal letters, so equal ids
+        return hash(self._ids)
 
     def __str__(self) -> str:
-        return " ".join(s.name for s in self.letters)
+        return " ".join([s.name for s in self.letters])
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -297,10 +332,29 @@ class Word:
         return Word(reversed(self.letters))
 
     def ids(self) -> tuple[int, ...]:
-        return tuple(s.id for s in self.letters)
+        """The id tuple the word keeps, the ``id`` of each letter in the
+        alphabet that made it, never matched by name.  To read a word in a
+        given alphabet, use :meth:`Alphabet.ids`."""
+        return self._ids
 
     def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.letters)
+        return tuple([s.name for s in self.letters])
+
+
+_set_alphabet = Word._alphabet.__set__
+_set_ids = Word._ids.__set__
+_set_letters = Word.letters.__set__
+_new_word = object.__new__
+
+
+def _word_from_ids(alphabet: Alphabet, ids: Iterable[int]) -> Word:
+    """The word over ``alphabet`` with these letter ids, as every word the
+    package's functions return is made.  The slots are filled through their
+    descriptors, as ``Word.__setattr__`` refuses every write."""
+    w = _new_word(Word)
+    _set_alphabet(w, alphabet)
+    _set_ids(w, ids if type(ids) is tuple else tuple(ids))
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +604,6 @@ def _normalize_ids(
     return _sweep_normalize_ids(table, ids, node_budget)
 
 
-def _word_from_ids(alphabet: Alphabet, ids: Iterable[int]) -> Word:
-    syms = alphabet.symbols
-    return Word(syms[i] for i in ids)
-
-
 def nbar_apply(table: NormTable, w: Word, i: int) -> Word:
     """Apply the table to the letters at positions i and i+1 (1-based)."""
     return apply_sequence(table, w, (i,))
@@ -599,9 +648,9 @@ def normalize(table: NormTable, w: Word, node_budget: int = DEFAULT_NODE_BUDGET)
     budget before finding one, and :class:`NotConfluent` when two distinct
     ones are.
     """
-    if len(w) == 0:
-        raise GarnormError("cannot normalise the empty word")
     ids = table.alphabet.ids(w)
+    if not ids:
+        raise GarnormError("cannot normalise the empty word")
     return _word_from_ids(table.alphabet, _normalize_ids(table, ids, node_budget))
 
 
@@ -656,7 +705,7 @@ def _rewrite_analysis(table: NormTable, max_len: int):
         if c * g + d != k:
             back[c * g + d].append(k - c * g - d)
     follow = [[b for b in range(g) if pairs[a * g + b] == (a, b)] for a in range(g)]
-    syms = table.alphabet.symbols
+    al = table.alphabet
 
     confl, dead = [], []
     normals = list(range(g))
@@ -686,9 +735,9 @@ def _rewrite_analysis(table: NormTable, max_len: int):
                         stack.append(v)
         # a code is decoded as its high and its low half of letters
         low = g ** (n // 2)
-        highs = list(itertools.product(syms, repeat=n - n // 2))
-        lows = list(itertools.product(syms, repeat=n // 2))
-        word = lambda code: Word(highs[code // low] + lows[code % low])
+        highs = list(itertools.product(range(g), repeat=n - n // 2))
+        lows = list(itertools.product(range(g), repeat=n // 2))
+        word = lambda code: _word_from_ids(al, highs[code // low] + lows[code % low])
         confl.extend(
             (word(w), word(normals[first[w]]), word(normals[s]))
             for w, s in enumerate(second)

@@ -581,9 +581,9 @@ def thurston_normalize(t: MealyMachine, w: Word, max_sweeps: int | None = None) 
     """
     if t.states is not t.alphabet and t.states != t.alphabet:
         raise GarnormError("sweeping requires a machine whose states are its letters")
-    if len(w) == 0:
-        raise GarnormError("cannot normalise the empty word")
     ids = t.alphabet.ids(w)
+    if not ids:
+        raise GarnormError("cannot normalise the empty word")
     budget = len(ids) ** 2 if max_sweeps is None else max_sweeps
     pairs, g = t._pairs, len(t.alphabet)
     if budget >= len(ids) - 1 and _sweeps_home(t):
@@ -615,7 +615,6 @@ def numeration_iterate(
         raise GarnormError("steps must be at least 1")
     q = m.states[start].id
     ids = m.alphabet.ids(w)
-    state_syms = m.states.symbols
 
     words = [_word_from_ids(m.alphabet, ids)]
     collected = []
@@ -623,7 +622,7 @@ def numeration_iterate(
     cycle_start = period = None
     for k in range(1, steps + 1):
         ids, final = _run_ids(m, q, ids)
-        collected.append(state_syms[final])
+        collected.append(final)
         words.append(_word_from_ids(m.alphabet, ids))
         if cycle_start is None:
             if ids in seen:
@@ -632,7 +631,7 @@ def numeration_iterate(
             else:
                 seen[ids] = k
     return IterationResult(
-        collected=Word(collected),
+        collected=_word_from_ids(m.states, collected),
         words=tuple(words),
         cycle_start=cycle_start,
         period=period,

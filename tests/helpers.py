@@ -158,6 +158,36 @@ def walk_rule_breadth(table: NormTable) -> Breadth:
     return _breadth_of(table, lengths)
 
 
+class TupleWord(tuple):
+    """The oracle of ``Word``: a plain tuple of symbols, with equality,
+    hashing, length, iteration and indexing those of the tuple, and the
+    other word operations spelt out on it."""
+
+    def __getitem__(self, idx):
+        got = tuple.__getitem__(self, idx)
+        return TupleWord(got) if isinstance(idx, slice) else got
+
+    def __add__(self, other):
+        return TupleWord(tuple(self) + tuple(other))
+
+    def __str__(self) -> str:
+        return " ".join(s.name for s in self)
+
+    def reverse(self):
+        return TupleWord(self[::-1])
+
+    def names(self) -> tuple[str, ...]:
+        return tuple(s.name for s in self)
+
+    def ids_in(self, alphabet) -> tuple[int, ...] | None:
+        """The position of each letter's name in the name list of
+        ``alphabet``, or None when a name is not there."""
+        names = alphabet.names()
+        if any(s.name not in names for s in self):
+            return None
+        return tuple(names.index(s.name) for s in self)
+
+
 def all_words(alphabet, max_len: int, min_len: int = 1):
     for n in range(min_len, max_len + 1):
         for tup in itertools.product(alphabet.symbols, repeat=n):

@@ -9,6 +9,7 @@ from garnorm import (
     AlphabetError,
     BudgetExhausted,
     GarnormError,
+    LetterNotInAlphabet,
     MissingUnit,
     NormTable,
     NormalWordBudgetExhausted,
@@ -17,6 +18,7 @@ from garnorm import (
     NotNormalising,
     NotTerminating,
     PositionOutOfRange,
+    Symbol,
     UNBOUNDED,
     UnitAlreadyPresent,
     Word,
@@ -33,7 +35,9 @@ from garnorm import (
     unit_condition_failures,
     verify_normalisation,
 )
+from garnorm.core import _word_from_ids
 from helpers import (
+    TupleWord,
     all_words,
     alternating_count,
     brute_is_normal,
@@ -147,9 +151,89 @@ def test_word_parsing_prefers_exact_names():
 
 
 def test_words_are_immutable():
-    w = bicyclic.alphabet.word("a b")
-    with pytest.raises(AttributeError):
-        w.letters = ()
+    al = bicyclic.alphabet
+    built = Word(al.symbols[i] for i in (0, 1))
+    for w in (built, _word_from_ids(al, (0, 1)), normalize(bicyclic, al.word("a b"))):
+        ids = w.ids()
+        for _ in range(2):  # id-built words: before and after the letters are read
+            for slot in Word.__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(w, slot, ())
+                with pytest.raises(AttributeError):
+                    delattr(w, slot)
+            assert w.ids() == ids and tuple(w) == tuple(al.symbols[i] for i in ids)
+
+
+#: How a word of the property below is built from the ids of its letters:
+#: the symbols of its own alphabet, the ids alone (as every library answer
+#: is built), a second alphabet with the same names, the names reversed,
+#: and symbols made by hand.
+WORD_ROUTES = ("own", "ids", "twin", "reversed", "hand")
+
+
+@st.composite
+def routed_word_pairs(draw):
+    """Two words over one list of names, each built by a drawn route, with
+    their oracles; and the alphabets ``Alphabet.ids`` is checked in."""
+    names = draw(st.lists(st.sampled_from(("a", "b", "c", "1", "ba")),
+                          min_size=1, max_size=4, unique=True))
+    own, twin, rev = Alphabet(names), Alphabet(names), Alphabet(names[::-1])
+    g = len(names)
+
+    def routed():
+        route = draw(st.sampled_from(WORD_ROUTES))
+        ids = draw(st.lists(st.integers(0, g - 1), max_size=6))
+        if route == "ids":
+            return route, _word_from_ids(own, ids), TupleWord(own.symbols[i] for i in ids)
+        if route == "hand":
+            letters = TupleWord(Symbol(i, names[i]) for i in ids)
+        elif route == "reversed":
+            letters = TupleWord(rev.symbols[g - 1 - i] for i in ids)
+        else:
+            letters = TupleWord((own if route == "own" else twin).symbols[i] for i in ids)
+        return route, Word(letters), letters
+
+    probes = [own, twin, rev, Alphabet(names + ["z"]), Alphabet(names[1:] + ["z"])]
+    return routed(), routed(), probes
+
+
+def test_words_match_the_tuple_oracle_on_every_route(record_testsuite_property):
+    """Words built five ways, each against a plain tuple of its symbols:
+    equality and hashing, length, ``str``, iteration, indexing, slices,
+    ``+``, ``reverse`` and ``names`` agree, and ``Alphabet.ids`` matches by
+    name, raising ``LetterNotInAlphabet`` exactly where a name is missing.
+    Each route's count, and the count of equal non-empty pairs, is recorded
+    as a suite property and must be positive."""
+    seen = dict.fromkeys(WORD_ROUTES + ("equal_nonempty",), 0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(routed_word_pairs())
+    def check(case):
+        (ru, u, ou), (rv, v, ov), probes = case
+        seen[ru] += 1
+        seen[rv] += 1
+        assert (u == v) == (ou == ov) and (u != v) == (ou != ov)
+        if u == v:
+            assert hash(u) == hash(v)
+            seen["equal_nonempty"] += len(u) > 0
+        for w, o in ((u, ou), (v, ov), (u + v, ou + ov), (u.reverse(), ou.reverse())):
+            assert len(w) == len(o) and str(w) == str(o) and w.names() == o.names()
+            assert tuple(w) == o and all(w[i] == o[i] for i in range(-len(o), len(o)))
+            for i in range(len(o) + 1):
+                for j in range(i, len(o) + 1):
+                    assert tuple(w[i:j]) == o[i:j] and (w[i:j] == v) == (o[i:j] == ov)
+            for al in probes:
+                want = o.ids_in(al)
+                if want is None:
+                    with pytest.raises(LetterNotInAlphabet):
+                        al.ids(w)
+                else:
+                    assert al.ids(w) == want
+
+    check()
+    for route, count in seen.items():
+        record_testsuite_property(f"word_{route}", count)
+        assert count > 0, route
 
 
 # ---------------------------------------------------------------------------

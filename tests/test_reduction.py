@@ -34,7 +34,7 @@ from garnorm import (
     thurston_normalize,
     tuple_action_classes,
 )
-from garnorm.core import NormTable, condition_home
+from garnorm.core import NormTable, _word_from_ids, condition_home
 from garnorm.machines import _fixed_pairs
 from garnorm.shell import emit_machine, parse_machine
 from helpers import (
@@ -314,20 +314,24 @@ def test_length_one_words_need_no_representatives():
 
 
 def test_threads_racing_on_first_use_all_get_the_oracle_answers():
-    """The representatives, the gate of ``growth`` and the gate of
-    ``thurston_normalize`` are written without a lock: threads that race on
-    fresh machines each compute the same values, so every answer holds."""
+    """The representatives, the gate of ``growth``, the gate of
+    ``thurston_normalize`` and the letters of a word built from ids are
+    written without a lock: threads that race on fresh machines and words
+    each compute the same values, so every answer holds."""
     t = gallery("braid3").table
     m, sweeper = build_mealy(t), build_thurston(t)
     pairs = sample_pairs(m, random.Random("threads"), per_length=2, congruent=2)
     words = [Word(t.alphabet.symbols[k % 6] for k in range(n)) for n in range(1, 9)]
+    fresh = [_word_from_ids(t.alphabet, [k * n % 6 for k in range(n)]) for n in range(1, 33)]
     want = ([bfs_distinguishing_word(m, u, v) for u, v in pairs], walk_counts(t, 4),
-            [sweep_thurston(sweeper, w) for w in words])
+            [sweep_thurston(sweeper, w) for w in words],
+            [tuple(t.alphabet.symbols[i] for i in w.ids()) for w in fresh])
     results = [None] * 8
 
     def work(i):
         results[i] = ([distinguishing_word(m, u, v) for u, v in pairs], growth(m, 4),
-                      [thurston_normalize(sweeper, w) for w in words])
+                      [thurston_normalize(sweeper, w) for w in words],
+                      [w.letters for w in fresh])
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
     interval = sys.getswitchinterval()
@@ -342,3 +346,5 @@ def test_threads_racing_on_first_use_all_get_the_oracle_answers():
     assert not any(th.is_alive() for th in threads)
     assert results == [want] * len(results)
     assert m._reps is not None and m._fixed and sweeper._home
+    # the letters slot is filled: reading it through its descriptor computes nothing
+    assert all(Word.letters.__get__(w) == letters for w, letters in zip(fresh, want[3]))
