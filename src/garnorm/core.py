@@ -28,21 +28,38 @@ of :mod:`garnorm.machines`, share one encoding: a flat tuple of image
 pairs indexed ``a * g + b`` for the pair (a, b) over g letters.
 
 All values are immutable after construction and all operations are pure
-functions of their inputs, so concurrent read-only use is safe.  Two
-values are computed on first use and written once: whether a table
-satisfies ``condition_home``, and the letters of a word built from ids.
-Concurrent first uses compute equal values, so the unlocked writes are
-harmless.
+functions of their inputs and of the calling thread's node budget (see
+:func:`node_budget`), so concurrent read-only use is safe.  Two values are
+computed on first use and written once: whether a table satisfies
+``condition_home``, and the letters of a word built from ids.  Concurrent
+first uses compute equal values, so the unlocked writes are harmless.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_NODE_BUDGET = 100_000
+_NODE_BUDGET = contextvars.ContextVar("node_budget", default=DEFAULT_NODE_BUDGET)
+
+
+@contextlib.contextmanager
+def node_budget(n: int) -> Iterator[int]:
+    """Cap every exhaustive search that starts in the block at ``n`` nodes.
+    Blocks nest; outside them, and in threads started inside them, the cap
+    is ``DEFAULT_NODE_BUDGET``.  ``n`` must be a positive integer."""
+    if not (isinstance(n, int) and n > 0):
+        raise GarnormError(f"node budget must be a positive integer, got {n!r}")
+    token = _NODE_BUDGET.set(n)
+    try:
+        yield n
+    finally:
+        _NODE_BUDGET.reset(token)
 
 #: Characters that may not appear in symbol names (they carry syntactic
 #: meaning in the text formats), besides whitespace.
@@ -117,13 +134,6 @@ class NormalWordBudgetExhausted(NotNormalising, BudgetExhausted):
 
 class UnknownName(GarnormError):
     """No gallery entry with this name."""
-
-
-class NoFactorisation(GarnormError):
-    """A product admits no factorisation into two family elements.
-
-    ``greedy_table`` no longer raises it: every product rep(x) rep(y) has
-    the factorisation (x, y) itself."""
 
 
 class AmbiguousMaximum(GarnormError):
@@ -464,7 +474,7 @@ class NormTable:
         is idempotent and satisfies :func:`condition_home`.  Computed on
         first use and cached."""
         if self._home is None:
-            self._home = not self.idempotence_failures() and condition_home(self)
+            self._home = not self.idempotence_failures() and not home_failures(breadth(self))
         return self._home
 
     def __repr__(self) -> str:
@@ -534,7 +544,7 @@ def _successors(pairs, g: int, ids: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _reachable_normals(
-    table: NormTable, start: tuple[int, ...], node_budget: int
+    table: NormTable, start: tuple[int, ...], budget: int
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Breadth-first search of the rewrite graph; collects up to two
     distinct reachable normal words.  Returns (normals, budget_hit)."""
@@ -553,7 +563,7 @@ def _reachable_normals(
             continue
         for v in succ:
             if v not in seen:
-                if len(seen) >= node_budget:
+                if len(seen) >= budget:
                     budget_hit = True
                     continue
                 seen.add(v)
@@ -561,9 +571,7 @@ def _reachable_normals(
     return normals, budget_hit
 
 
-def _sweep_normalize_ids(
-    table: NormTable, ids: tuple[int, ...], node_budget: int
-) -> tuple[int, ...]:
+def _sweep_normalize_ids(table: NormTable, ids: tuple[int, ...]) -> tuple[int, ...]:
     """Normal form by repeated sweeps, with an exhaustive fallback search
     when they cycle; valid for every table."""
     n = len(ids)
@@ -578,7 +586,8 @@ def _sweep_normalize_ids(
             break
         seen.add(w)
     # Sweeps cycle: fall back to exhaustive search from the original word.
-    normals, budget_hit = _reachable_normals(table, ids, node_budget)
+    budget = _NODE_BUDGET.get()
+    normals, budget_hit = _reachable_normals(table, ids, budget)
     al = table.alphabet
     if len(normals) >= 2:
         raise NotConfluent(
@@ -588,20 +597,18 @@ def _sweep_normalize_ids(
         word = _word_from_ids(al, ids)
         if budget_hit:
             raise NormalWordBudgetExhausted(
-                f"no normal word reachable from '{word}' within {node_budget} nodes"
+                f"no normal word reachable from '{word}' within {budget} nodes"
             )
         raise NotNormalising(f"no normal word is reachable from '{word}'")
     return normals[0]
 
 
-def _normalize_ids(
-    table: NormTable, ids: tuple[int, ...], node_budget: int
-) -> tuple[int, ...]:
+def _normalize_ids(table: NormTable, ids: tuple[int, ...]) -> tuple[int, ...]:
     if len(ids) <= 1:
         return ids
     if table._incremental():
         return _insert_ids(table._pairs, len(table.alphabet), ids)
-    return _sweep_normalize_ids(table, ids, node_budget)
+    return _sweep_normalize_ids(table, ids)
 
 
 def nbar_apply(table: NormTable, w: Word, i: int) -> Word:
@@ -627,7 +634,7 @@ def is_normal(table: NormTable, w: Word) -> bool:
     return _is_normal_ids(table._pairs, len(table.alphabet), table.alphabet.ids(w))
 
 
-def normalize(table: NormTable, w: Word, node_budget: int = DEFAULT_NODE_BUDGET) -> Word:
+def normalize(table: NormTable, w: Word) -> Word:
     """A normal word of the same length reachable from ``w``.
 
     Strategy: when the table satisfies :func:`condition_home`, it is the
@@ -641,17 +648,17 @@ def normalize(table: NormTable, w: Word, node_budget: int = DEFAULT_NODE_BUDGET)
 
     Every other table gets repeated left-to-right sweeps until fixpoint,
     capped at |w|**2 + |w| sweeps; if the sweeps cycle, an exhaustive
-    breadth-first search of the rewrite graph takes over (up to
-    ``node_budget`` nodes).  Raises :class:`NotNormalising` when no normal
-    word is reachable, :class:`NormalWordBudgetExhausted` (a subclass of
-    both it and :class:`BudgetExhausted`) when the search stopped at the
-    budget before finding one, and :class:`NotConfluent` when two distinct
-    ones are.
+    breadth-first search of the rewrite graph takes over, up to the
+    :func:`node_budget` in force.  Raises :class:`NotNormalising` when no
+    normal word is reachable, :class:`NormalWordBudgetExhausted` (a
+    subclass of both it and :class:`BudgetExhausted`) when the search
+    stopped at the budget before finding one, and :class:`NotConfluent`
+    when two distinct ones are.
     """
     ids = table.alphabet.ids(w)
     if not ids:
         raise GarnormError("cannot normalise the empty word")
-    return _word_from_ids(table.alphabet, _normalize_ids(table, ids, node_budget))
+    return _word_from_ids(table.alphabet, _normalize_ids(table, ids))
 
 
 # ---------------------------------------------------------------------------
@@ -917,8 +924,10 @@ def home_failures(b: Breadth) -> list[str]:
 
 
 def condition_home(table: NormTable) -> bool:
-    """True iff the breadth is finite with d <= 4 and p <= 3."""
-    return not home_failures(breadth(table))
+    """True iff the breadth is finite with d <= 4 and p <= 3 (cached on the
+    table).  Raises :class:`NotIdempotent` as :func:`breadth` does."""
+    table.require_idempotent()
+    return table._incremental()
 
 
 # ---------------------------------------------------------------------------
@@ -959,13 +968,12 @@ def unit_condition_failures(table: NormTable, max_len: int = 4) -> list[str]:
                 )
     if not fails and table._incremental():
         return fails
-    budget = DEFAULT_NODE_BUDGET
     for n in range(1, max_len + 1):
         for ids in itertools.product(range(g), repeat=n):
-            nf = _normalize_ids(table, ids, budget)
+            nf = _normalize_ids(table, ids)
             want = (u,) + nf
-            left = _normalize_ids(table, (u,) + ids, budget)
-            right = _normalize_ids(table, ids + (u,), budget)
+            left = _normalize_ids(table, (u,) + ids)
+            right = _normalize_ids(table, ids + (u,))
             w = _word_from_ids(table.alphabet, ids)
             if left != want:
                 fails.append(
@@ -1010,29 +1018,28 @@ def adjoin_unit(table: NormTable, name: str = "1") -> NormTable:
 # derivation lengths
 
 
-def max_derivation_length(
-    table: NormTable, w: Word, node_budget: int = DEFAULT_NODE_BUDGET
-) -> int:
+def max_derivation_length(table: NormTable, w: Word) -> int:
     """Length of the longest sequence of word-changing rewrites from ``w``.
 
     Depth-first over the rewrite graph with memoisation; applications that
     fix the word are not steps.  Raises :class:`NotTerminating` when a
-    rewrite cycle is found and :class:`BudgetExhausted` past the node
-    budget.
+    rewrite cycle is found and :class:`BudgetExhausted` past the
+    :func:`node_budget` in force.
     """
     start = table.alphabet.ids(w)
     if len(start) < 2:
         return 0
     pairs, g = table._pairs, len(table.alphabet)
+    budget = _NODE_BUDGET.get()
     best_of: dict[tuple[int, ...], int] = {}
     on_stack: set[tuple[int, ...]] = set()
     # frame: [word, successor list, next successor index, best length so far]
     frames: list[list] = []
 
     def push(t):
-        if len(best_of) + len(on_stack) >= node_budget:
+        if len(best_of) + len(on_stack) >= budget:
             raise BudgetExhausted(
-                f"derivation search exceeded the node budget of {node_budget}"
+                f"derivation search exceeded the node budget of {budget}"
             )
         on_stack.add(t)
         frames.append([t, _successors(pairs, g, t), 0, 0])

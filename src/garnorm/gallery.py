@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import Alphabet, NormTable, UnknownName
+from .core import DEFAULT_NODE_BUDGET, Alphabet, NormTable, UnknownName, node_budget
 from .greedy import PresentedMonoid, greedy_table, make_family
 from .machines import MealyMachine
 
@@ -314,7 +314,8 @@ def gallery(name: str) -> GalleryEntry:
     if builder is None:
         known = ", ".join(BASE_NAMES)
         raise UnknownName(f"unknown gallery entry {name!r} (known: {known}, finite:Z/<n>)")
-    return builder()
+    with node_budget(DEFAULT_NODE_BUDGET):  # entries are cached for the process
+        return builder()
 
 
 def gallery_tables() -> tuple[GalleryEntry, ...]:

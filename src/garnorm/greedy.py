@@ -10,8 +10,9 @@ breadth.
 
 Equality of words is decided by a budgeted closure search over the
 presentation's relations, applied in both directions at every position.
-Length-changing relations are explored up to a configured length slack,
-and exhausting the budget raises an error rather than guessing.
+Length-changing relations are explored up to ``LENGTH_SLACK`` letters past
+the longer word, and exhausting the :func:`~garnorm.core.node_budget`
+raises an error rather than guessing.
 
 The greedy table works out one entry per class of products rather than
 one per pair: every pair whose product words are equal shares its
@@ -31,29 +32,28 @@ from .core import (
     Alphabet,
     AmbiguousMaximum,
     BudgetExhausted,
-    DEFAULT_NODE_BUDGET,
     GarnormError,
     MissingUnit,
     NormTable,
     Symbol,
     Word,
+    _NODE_BUDGET,
     _word_from_ids,
 )
+
+#: How many letters past the longer of its words a closure search may go.
+LENGTH_SLACK = 4
 
 
 @dataclass(frozen=True)
 class PresentedMonoid:
-    """A finite presentation: atoms, defining relations (unordered pairs of
-    non-empty atom words), and budgets for the bounded word problem."""
+    """A finite presentation: atoms and defining relations (unordered pairs
+    of non-empty atom words)."""
 
     atoms: Alphabet
     relations: tuple[tuple[Word, Word], ...]
-    search_budget: int = DEFAULT_NODE_BUDGET
-    length_slack: int = 4
 
     def __post_init__(self):
-        if self.search_budget <= 0:
-            raise GarnormError("search budget must be positive")
         word = lambda w: _word_from_ids(self.atoms, self.atoms.ids(w))
         resolved = []
         for lhs, rhs in self.relations:
@@ -99,7 +99,7 @@ def family_unit(family) -> FamilyElement | None:
 
 
 class _Search:
-    """Budgeted equivalence-closure engine for one presentation.
+    """Equivalence-closure engine for one presentation and node budget.
 
     ``class_of(word, window)`` is the set of words of length <= window
     reachable by relation replacements; it is the equivalence class cut to
@@ -109,8 +109,9 @@ class _Search:
     :class:`BudgetExhausted` is never stored.
     """
 
-    def __init__(self, monoid: PresentedMonoid):
+    def __init__(self, monoid: PresentedMonoid, budget: int):
         self.monoid = monoid
+        self.budget = budget
         rules = []
         for lhs, rhs in monoid.relations:
             lhs, rhs = monoid.atoms.ids(lhs), monoid.atoms.ids(rhs)
@@ -125,7 +126,7 @@ class _Search:
         cached = self._classes.get(key)
         if cached is not None:
             return cached
-        budget = self.monoid.search_budget
+        budget = self.budget
         rules = self._rules
         seen = {word}
         queue = deque([word])
@@ -151,7 +152,7 @@ class _Search:
         return result
 
     def equal(self, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-        window = max(len(u), len(v)) + self.monoid.length_slack
+        window = max(len(u), len(v)) + LENGTH_SLACK
         return v in self.class_of(u, window)
 
     def divides(self, r1: tuple[int, ...], r2: tuple[int, ...]) -> bool:
@@ -161,7 +162,7 @@ class _Search:
         cached = self._divides.get(key)
         if cached is not None:
             return cached
-        window = max(len(r1), len(r2)) + self.monoid.length_slack
+        window = max(len(r1), len(r2)) + LENGTH_SLACK
         cls1 = self.class_of(r1, window)
         verdict = False
         for w in self.class_of(r2, window):
@@ -180,7 +181,7 @@ class _Search:
         cached = self._right_divides.get(key)
         if cached is not None:
             return cached
-        window = max(len(r1), len(r2)) + self.monoid.length_slack
+        window = max(len(r1), len(r2)) + LENGTH_SLACK
         cls1 = self.class_of(r1, window)
         verdict = False
         for w in self.class_of(r2, window):
@@ -191,16 +192,19 @@ class _Search:
         return verdict
 
 
-@lru_cache(maxsize=None)
+_search = lru_cache(maxsize=None)(_Search)  # one per (presentation, budget)
+
+
 def _search_for(monoid: PresentedMonoid) -> _Search:
-    return _Search(monoid)
+    """The search for ``monoid`` under the node budget in force."""
+    return _search(monoid, _NODE_BUDGET.get())
 
 
 def bounded_equal(monoid: PresentedMonoid, u: Word, v: Word) -> bool:
     """Decide u = v in the monoid by budgeted relation closure.
 
     True iff ``v`` is reachable from ``u`` by relation replacements within
-    the length window max(|u|, |v|) + slack.  Raises
+    the length window max(|u|, |v|) + ``LENGTH_SLACK``.  Raises
     :class:`BudgetExhausted` when the budget runs out (the answer is then
     unknown, never reported as False).
     """
@@ -232,10 +236,10 @@ def _factorisations(
     search: _Search, e: tuple[int, ...], by_word: dict, maxlen: int
 ) -> list[tuple[int, int]]:
     """Index pairs (c, d), in lexicographic order, with reps[c] reps[d]
-    equal to ``e`` within the window max(|e|, 2 * maxlen) + slack;
+    equal to ``e`` within the window max(|e|, 2 * maxlen) + ``LENGTH_SLACK``;
     ``by_word`` is ``_products(reps)`` and ``maxlen`` the length of the
     longest rep.  Walks the class or the products, whichever is smaller."""
-    cls = search.class_of(e, max(len(e), 2 * maxlen) + search.monoid.length_slack)
+    cls = search.class_of(e, max(len(e), 2 * maxlen) + LENGTH_SLACK)
     small, big = (cls, by_word) if len(cls) <= len(by_word) else (by_word, cls)
     return sorted(p for w in small if w in big for p in by_word[w])
 
@@ -259,15 +263,15 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
     A ``unit`` given as a family element, a name or a symbol is matched by name.
 
     Every product has length at most 2 * maxlen, so every product's class
-    is taken in the one window 2 * maxlen + slack.  Relations apply in both
-    directions, so the classes in one window partition its words, and a
-    class reached from any of its words is the same set.  The candidates of
-    (x, y), their maximal right parts and the left parts of the chosen one
-    therefore depend only on the class of rep(x) rep(y): they are worked
-    out when the first pair of a class is reached, in product order, and
-    shared by every product word of that class.  A class whose entry fails
-    raises at its first pair, as a pair-by-pair construction would, with
-    that pair's names.
+    is taken in the one window 2 * maxlen + ``LENGTH_SLACK``.  Relations
+    apply in both directions, so the classes in one window partition its
+    words, and a class reached from any of its words is the same set.  The
+    candidates of (x, y), their maximal right parts and the left parts of
+    the chosen one therefore depend only on the class of rep(x) rep(y):
+    they are worked out when the first pair of a class is reached, in
+    product order, and shared by every product word of that class.  A class
+    whose entry fails raises at its first pair, as a pair-by-pair
+    construction would, with that pair's names.
     """
     family, reps, maxlen = _family_reps(monoid, family)
     alphabet = Alphabet(f.name.name for f in family)
@@ -371,7 +375,7 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
     report = FamilyClosureReport()
     search = _search_for(monoid)
     right_divides = search.right_divides
-    window = 2 * maxlen + monoid.length_slack
+    window = 2 * maxlen + LENGTH_SLACK
     atoms = monoid.atoms
 
     def unreported(w, reported: list[frozenset]) -> bool:
@@ -379,7 +383,7 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
         ``reported``?  If so, its class joins ``reported``."""
         if any(search.equal(r, w) for r in reps):
             return False
-        cls = search.class_of(w, len(w) + monoid.length_slack)
+        cls = search.class_of(w, len(w) + LENGTH_SLACK)
         if any(w in cl for cl in reported):
             return False
         reported.append(cls)

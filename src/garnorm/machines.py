@@ -548,20 +548,18 @@ def _sweeps_home(t: MealyMachine) -> bool:
     return home
 
 
-def thurston_normalize(t: MealyMachine, w: Word, max_sweeps: int | None = None) -> Word:
+def thurston_normalize(t: MealyMachine, w: Word) -> Word:
     """Normalise by iterated sweeps of the sweeping transducer.
 
     One sweep starts in state w[0], feeds w[1:], and replaces the word by
     the outputs followed by the arrival state; sweeps repeat until one
     changes nothing, and the word must then be normal, or else
-    :class:`SweepBudgetExhausted` is raised.  The default sweep budget is
-    |w|**2.
+    :class:`SweepBudgetExhausted` is raised.  At most |w|**2 sweeps run.
 
     When the pairs of ``t`` form a home table (idempotent and satisfying
-    :func:`condition_home`) and the budget is at least |w| - 1, the normal
-    form N(w) is computed by letter insertion, as ``normalize`` computes
-    it.  Smaller budgets, and every other machine, still sweep.  The sweeps
-    give the same word:
+    :func:`condition_home`), the normal form N(w) is computed by letter
+    insertion, as ``normalize`` computes it; every other machine sweeps.
+    The sweeps give the same word:
 
     - Lemma: if the sweep of P (|P| >= 2) writes O and carries c, then
       N(P) = N(O) c.  For |P| = 2 this is idempotence.  For P = P' p, where
@@ -584,19 +582,18 @@ def thurston_normalize(t: MealyMachine, w: Word, max_sweeps: int | None = None) 
     ids = t.alphabet.ids(w)
     if not ids:
         raise GarnormError("cannot normalise the empty word")
-    budget = len(ids) ** 2 if max_sweeps is None else max_sweeps
     pairs, g = t._pairs, len(t.alphabet)
-    if budget >= len(ids) - 1 and _sweeps_home(t):
+    if _sweeps_home(t):
         return _word_from_ids(t.alphabet, _insert_ids(pairs, g, ids))
     ids = list(ids)
-    for _ in range(budget):
+    for _ in range(len(ids) ** 2):
         swept = _sweep(pairs, g, ids[0], ids[1:])
         if swept == ids:
             break
         ids = swept
     if not _is_normal_ids(pairs, g, ids):
         raise SweepBudgetExhausted(
-            f"word '{_word_from_ids(t.alphabet, ids)}' not normal after {budget} sweeps"
+            f"word '{_word_from_ids(t.alphabet, ids)}' not normal after {len(ids) ** 2} sweeps"
         )
     return _word_from_ids(t.alphabet, ids)
 

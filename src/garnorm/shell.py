@@ -27,8 +27,8 @@ Reports are key trees rendered either as ``path = value`` lines in
 deterministic tree order or as JSON (``--json``).  Exit codes: 0 success
 or predicate true, 1 predicate false, 2 input or format error (a word
 reaching two distinct normal words, or none, included), 3 search budget
-exhausted.  The ``GARNORM_BUDGET`` environment variable overrides the
-default budgets.
+exhausted.  The ``GARNORM_BUDGET`` environment variable sets the node
+budget of every command (``garnorm.node_budget``).
 Words on the command line are space-separated symbol names in a single
 argument; over single-character alphabets an unspaced word like ``110`` is
 also understood, and ``--compact`` forces that reading.
@@ -37,7 +37,6 @@ also understood, and ``--compact`` forces that reading.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -53,6 +52,7 @@ from .core import (
     ParseError,
     Symbol,
     Word,
+    node_budget,
 )
 from .gallery import gallery
 from .greedy import PresentedMonoid, greedy_table, make_family, family_unit
@@ -63,9 +63,7 @@ _EPS_RESERVED = "atom name 'EPS' is reserved for the empty representative"
 
 
 def _budget() -> int:
-    raw = os.environ.get("GARNORM_BUDGET")
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
+    raw = os.environ.get("GARNORM_BUDGET", str(DEFAULT_NODE_BUDGET))
     try:
         value = int(raw)
     except ValueError:
@@ -409,10 +407,8 @@ def _load_machine(source: str) -> MealyMachine:
 
 def _load_presentation(source: str):
     if source.startswith("gallery:"):
-        monoid, family, unit = _gallery_part(source[len("gallery:") :], "presentation")
-    else:
-        monoid, family, unit = parse_presentation(_read(source))
-    return dataclasses.replace(monoid, search_budget=_budget()), family, unit
+        return _gallery_part(source[len("gallery:") :], "presentation")
+    return parse_presentation(_read(source))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +502,7 @@ def _cmd_home(args) -> int:
 def _cmd_normalize(args) -> int:
     table = _load_table(args.table)
     w = table.alphabet.word(args.word, compact=args.compact)
-    nf = core.normalize(table, w, node_budget=_budget())
+    nf = core.normalize(table, w)
     _print_report(args, {"input": _render_word(w), "normal": _render_word(nf)})
     return 0
 
@@ -605,46 +601,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, *positionals):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
+        for arg in positionals:
+            p.add_argument(arg)
         return p
 
-    p = add("check", _cmd_check, "verify the normalisation axioms and the unit condition")
-    p.add_argument("table")
+    p = add("check", _cmd_check, "verify the normalisation axioms and the unit condition", "table")
     p.add_argument("--max-len", type=int, default=5, dest="max_len")
 
-    p = add("breadth", _cmd_breadth, "alternating-sequence breadth of a table")
-    p.add_argument("table")
+    add("breadth", _cmd_breadth, "alternating-sequence breadth of a table", "table")
 
-    p = add("home", _cmd_home, "test the bounded-breadth condition (d <= 4, p <= 3)")
-    p.add_argument("table")
+    add("home", _cmd_home, "test the bounded-breadth condition (d <= 4, p <= 3)", "table")
 
-    p = add("normalize", _cmd_normalize, "normal form of a word")
-    p.add_argument("table")
-    p.add_argument("word")
+    p = add("normalize", _cmd_normalize, "normal form of a word", "table", "word")
     p.add_argument("--compact", action="store_true")
 
-    p = add("mealy", _cmd_mealy, "emit the right-context transducer of a table")
-    p.add_argument("table")
+    add("mealy", _cmd_mealy, "emit the right-context transducer of a table", "table")
 
-    p = add("thurston", _cmd_thurston, "emit the sweeping transducer of a table")
-    p.add_argument("table")
+    add("thurston", _cmd_thurston, "emit the sweeping transducer of a table", "table")
 
-    p = add("dual", _cmd_dual, "emit the dual of a machine")
-    p.add_argument("machine")
+    add("dual", _cmd_dual, "emit the dual of a machine", "machine")
 
-    p = add("run", _cmd_run, "run a machine from a state over a word")
-    p.add_argument("machine")
-    p.add_argument("state")
-    p.add_argument("word")
+    p = add("run", _cmd_run, "run a machine from a state over a word", "machine", "state", "word")
     p.add_argument("--compact", action="store_true")
 
-    p = add("iterate", _cmd_iterate, "iterated runs, collecting arrival states")
-    p.add_argument("machine")
-    p.add_argument("state")
-    p.add_argument("word")
+    p = add(
+        "iterate", _cmd_iterate, "iterated runs, collecting arrival states",
+        "machine", "state", "word",
+    )
     p.add_argument("--steps", type=int, required=True)
     p.add_argument(
         "--mode",
@@ -660,19 +647,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--compact", action="store_true")
 
-    p = add("growth", _cmd_growth, "action-class counts by state-word length")
-    p.add_argument("machine")
+    p = add("growth", _cmd_growth, "action-class counts by state-word length", "machine")
     p.add_argument("--max", type=int, default=5)
 
-    p = add("greedy", _cmd_greedy, "emit the greedy table of a presented monoid")
-    p.add_argument("presentation")
+    add("greedy", _cmd_greedy, "emit the greedy table of a presented monoid", "presentation")
 
-    p = add("gallery", _cmd_gallery, "emit a gallery entry")
-    p.add_argument("name")
+    p = add("gallery", _cmd_gallery, "emit a gallery entry", "name")
     p.add_argument("--emit", choices=("auto", "table", "machine", "presentation"), default="auto")
 
-    p = add("dot", _cmd_dot, "DOT rendering of a machine (or of a table's transducer)")
-    p.add_argument("source")
+    add("dot", _cmd_dot, "DOT rendering of a machine (or of a table's transducer)", "source")
 
     return parser
 
@@ -681,7 +664,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with node_budget(_budget()):
+            return args.fn(args)
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -17,20 +17,18 @@ from garnorm import (
     BudgetExhausted,
     GarnormError,
     MissingUnit,
-    NoFactorisation,
     NormTable,
     SweepBudgetExhausted,
     Symbol,
     Word,
 )
 from garnorm.core import (
-    DEFAULT_NODE_BUDGET,
     _is_normal_ids,
     _sweep,
     _sweep_normalize_ids,
     _word_from_ids,
 )
-from garnorm.greedy import FamilyClosureReport, _search_for, family_unit
+from garnorm.greedy import LENGTH_SLACK, FamilyClosureReport, _search_for, family_unit
 from garnorm.machines import _levels, _refine
 
 
@@ -125,7 +123,7 @@ def sweep_target_breadth(table: NormTable) -> Breadth:
 
     lengths = []
     for triple in itertools.product(range(g), repeat=3):
-        target = _sweep_normalize_ids(table, triple, DEFAULT_NODE_BUDGET)
+        target = _sweep_normalize_ids(table, triple)
         counts = (count(triple, target, 1), count(triple, target, 0))
         lengths.append((_word_from_ids(table.alphabet, triple), counts))
     return _breadth_of(table, lengths)
@@ -440,7 +438,7 @@ def all_pairs_factorisations(search, e: tuple[int, ...], reps, maxlen: int):
     """Every index pair (c, d), in lexicographic order, whose product
     reps[c] reps[d] lies in the class of ``e`` within the window
     max(|e|, 2 * maxlen) + slack: all F**2 products tested one by one."""
-    cls = search.class_of(e, max(len(e), 2 * maxlen) + search.monoid.length_slack)
+    cls = search.class_of(e, max(len(e), 2 * maxlen) + LENGTH_SLACK)
     return [
         (c, d)
         for c in range(len(reps))
@@ -480,11 +478,7 @@ def pairwise_greedy_table(monoid, family, unit=None) -> NormTable:
     rules = []
     for xi, yi in itertools.product(range(len(family)), repeat=2):
         candidates = all_pairs_factorisations(search, reps[xi] + reps[yi], reps, maxlen)
-        if not candidates:
-            raise NoFactorisation(
-                f"{family[xi].name} {family[yi].name} has no factorisation "
-                "into two family elements"
-            )
+        assert candidates, "(x, y) is a factorisation of its own product"
         ds = []
         for _, di in candidates:
             if di not in ds:
@@ -530,11 +524,11 @@ def unmemoised_family_closure(monoid, family) -> FamilyClosureReport:
     search = _search_for(monoid)
     reps = {f: monoid.atoms.ids(f.rep) for f in family}
     maxlen = max((len(r) for r in reps.values()), default=0)
-    window = 2 * maxlen + monoid.length_slack
+    window = 2 * maxlen + LENGTH_SLACK
     atoms = monoid.atoms
 
     def in_family(ids) -> bool:
-        return any(ids in search.class_of(r, max(len(ids), len(r)) + monoid.length_slack)
+        return any(ids in search.class_of(r, max(len(ids), len(r)) + LENGTH_SLACK)
                    for r in reps.values())
 
     reported: list[frozenset] = []
@@ -549,7 +543,7 @@ def unmemoised_family_closure(monoid, family) -> FamilyClosureReport:
             try:
                 if in_family(p):
                     continue
-                pcls = search.class_of(p, len(p) + monoid.length_slack)
+                pcls = search.class_of(p, len(p) + LENGTH_SLACK)
                 if any(p in cl for cl in reported):
                     continue
                 reported.append(pcls)
@@ -584,7 +578,7 @@ def unmemoised_family_closure(monoid, family) -> FamilyClosureReport:
                     continue
                 if in_family(m):
                     continue
-                mcls = search.class_of(m, len(m) + monoid.length_slack)
+                mcls = search.class_of(m, len(m) + LENGTH_SLACK)
                 if any(m in cl for cl in reported_m):
                     continue
                 reported_m.append(mcls)

@@ -1,5 +1,6 @@
 
 import itertools
+import threading
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,11 +32,13 @@ from garnorm import (
     is_normal,
     max_derivation_length,
     nbar_apply,
+    node_budget,
     normalize,
     unit_condition_failures,
     verify_normalisation,
 )
-from garnorm.core import _word_from_ids
+from garnorm import core
+from garnorm.core import DEFAULT_NODE_BUDGET, _word_from_ids
 from helpers import (
     TupleWord,
     all_words,
@@ -390,8 +393,8 @@ def test_normalize_not_normalising_is_a_budget_error_only_when_cut_short():
     with pytest.raises(NotNormalising) as complete:
         normalize(t, w)
     assert not isinstance(complete.value, BudgetExhausted)
-    with pytest.raises(NormalWordBudgetExhausted) as cut:
-        normalize(t, w, node_budget=1)
+    with pytest.raises(NormalWordBudgetExhausted) as cut, node_budget(1):
+        normalize(t, w)
     assert isinstance(cut.value, NotNormalising)
     assert isinstance(cut.value, BudgetExhausted)
 
@@ -626,6 +629,30 @@ def test_condition_home():
     assert not condition_home(bicyclic)
 
 
+def test_condition_home_computes_breadth_once_per_table(monkeypatch):
+    calls = []
+    real = core.breadth
+
+    def counting(table):
+        calls.append(table)
+        return real(table)
+
+    monkeypatch.setattr(core, "breadth", counting)
+    for entry in (gallery("plactic2"), gallery("bicyclic")):
+        fresh = NormTable(entry.table.alphabet, entry.table.rules(), unit=entry.table.unit)
+        verdicts = {condition_home(fresh) for _ in range(5)}
+        assert verdicts == {entry.expectations["condition_home"]}
+        assert calls == [fresh]
+        # normalize and verify_normalisation read the same cached verdict
+        normalize(fresh, fresh.alphabet.word(" ".join(fresh.alphabet.names())))
+        verify_normalisation(fresh, 3)
+        assert calls == [fresh]
+        calls.clear()
+    with pytest.raises(NotIdempotent):
+        condition_home(swap_table())
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # unit handling
 
@@ -712,7 +739,36 @@ def test_derivation_length_detects_cycles():
 
 def test_derivation_length_budget():
     with pytest.raises(BudgetExhausted):
-        max_derivation_length(bicyclic, bicyclic.alphabet.word("a a a b b"), node_budget=2)
+        with node_budget(2):
+            max_derivation_length(bicyclic, bicyclic.alphabet.word("a a a b b"))
+
+
+def test_node_budget_nests_and_is_restored():
+    w = bicyclic.alphabet.word("a a a b b")
+    with node_budget(2):
+        with node_budget(DEFAULT_NODE_BUDGET):
+            assert max_derivation_length(bicyclic, w) > 0
+        with pytest.raises(BudgetExhausted):
+            max_derivation_length(bicyclic, w)
+    assert max_derivation_length(bicyclic, w) > 0
+
+
+def test_node_budget_is_per_thread():
+    w = bicyclic.alphabet.word("a a a b b")
+    out = []
+    with node_budget(2):
+        worker = threading.Thread(target=lambda: out.append(max_derivation_length(bicyclic, w)))
+        worker.start()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert out == [max_derivation_length(bicyclic, w)]
+
+
+@pytest.mark.parametrize("n", (0, -1, 2.5, "10"))
+def test_node_budget_must_be_a_positive_integer(n):
+    with pytest.raises(GarnormError):
+        with node_budget(n):
+            pass
 
 
 def test_derivation_op_agrees_with_value_iteration():

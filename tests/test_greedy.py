@@ -19,6 +19,7 @@ from garnorm import (
     gallery,
     greedy_table,
     make_family,
+    node_budget,
     right_divisors,
     verify_normalisation,
 )
@@ -27,11 +28,9 @@ from garnorm.shell import emit_table
 from helpers import all_pairs_right_divisors, pairwise_greedy_table, unmemoised_family_closure
 
 
-def braid3_monoid(budget=100_000):
+def braid3_monoid():
     atoms = Alphabet(("a", "b"))
-    return PresentedMonoid(
-        atoms, ((atoms.word("a b a"), atoms.word("b a b")),), search_budget=budget
-    )
+    return PresentedMonoid(atoms, ((atoms.word("a b a"), atoms.word("b a b")),))
 
 
 def braid3_family(monoid):
@@ -119,8 +118,8 @@ def test_bounded_equal_negative():
 
 
 def test_bounded_equal_budget_exhaustion():
-    M = braid3_monoid(budget=2)
-    with pytest.raises(BudgetExhausted):
+    M = braid3_monoid()
+    with node_budget(2), pytest.raises(BudgetExhausted):
         bounded_equal(M, M.atoms.word("a b a a b a"), M.atoms.word("b a b b a b"))
 
 
@@ -128,8 +127,6 @@ def test_presented_monoid_validation():
     atoms = Alphabet(("a",))
     with pytest.raises(GarnormError):
         PresentedMonoid(atoms, ((atoms.word("a"), Word()),))
-    with pytest.raises(GarnormError):
-        PresentedMonoid(atoms, (), search_budget=0)
 
 
 def test_make_family_rejects_two_units():
@@ -325,10 +322,29 @@ def test_greedy_two_sided_order_refuses_what_right_order_builds():
 
 
 def test_greedy_budget_propagates():
-    M = braid3_monoid(budget=3)
+    M = braid3_monoid()
     fam = braid3_family(M)
-    with pytest.raises(BudgetExhausted):
+    with node_budget(3), pytest.raises(BudgetExhausted):
         greedy_table(M, fam, fam[0])
+
+
+def test_a_warm_search_does_not_answer_under_a_smaller_budget():
+    # gallery("braid3") has filled the search of its presentation under the
+    # default budget; a search under budget 5 starts cold and stops
+    entry = gallery("braid3")
+    M, fam, unit = entry.presentation
+    with node_budget(5), pytest.raises(BudgetExhausted, match="budget of 5 nodes"):
+        greedy_table(M, fam, unit)
+    assert greedy_table(M, fam, unit) == entry.table
+
+
+def test_gallery_builds_under_a_tiny_ambient_budget():
+    # entries are cached for the process, so they are built under the
+    # default budget whatever budget the first caller has set
+    for name in ("bs10", "bs32", "braid3"):
+        with node_budget(1):
+            entry = gallery.__wrapped__(name)
+        assert entry.table == gallery(name).table
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +430,7 @@ def outcome(call, *args, fresh=True):
     """The answer of a fresh search (or, unless ``fresh``, of the search
     as earlier calls left it), or the type and text of its error."""
     if fresh:
-        greedy._search_for.cache_clear()
+        greedy._search.cache_clear()
     try:
         return call(*args)
     except GarnormError as exc:
@@ -427,21 +443,18 @@ def test_greedy_layer_matches_pairwise_oracles(case):
     atoms, relations, entries, extra, spelling = case
     emitted = lambda table_of: lambda *args: emit_table(table_of(*args))
     fam = make_family(spelling, entries)
+    M = PresentedMonoid(atoms, tuple((atoms.word(l), atoms.word(r)) for l, r in relations))
     for budget in (30, 300, 100_000):
-        M = PresentedMonoid(
-            atoms,
-            tuple((atoms.word(l), atoms.word(r)) for l, r in relations),
-            search_budget=budget,
-        )
-        assert outcome(emitted(greedy_table), M, fam) == outcome(
-            emitted(pairwise_greedy_table), M, fam
-        )
-        for e in [f.rep for f in fam] + [atoms.word(extra) if extra else Word()]:
-            assert outcome(right_divisors, M, e, fam) == outcome(
-                all_pairs_right_divisors, M, e, fam
+        with node_budget(budget):
+            assert outcome(emitted(greedy_table), M, fam) == outcome(
+                emitted(pairwise_greedy_table), M, fam
             )
-        closure = outcome(check_family_closure, M, fam)
-        # asked again of the warm search: no question stopped by the budget
-        # was kept as a verdict
-        assert outcome(check_family_closure, M, fam, fresh=False) == closure
-        assert closure == outcome(unmemoised_family_closure, M, fam)
+            for e in [f.rep for f in fam] + [atoms.word(extra) if extra else Word()]:
+                assert outcome(right_divisors, M, e, fam) == outcome(
+                    all_pairs_right_divisors, M, e, fam
+                )
+            closure = outcome(check_family_closure, M, fam)
+            # asked again of the warm search: no question stopped by the budget
+            # was kept as a verdict
+            assert outcome(check_family_closure, M, fam, fresh=False) == closure
+            assert closure == outcome(unmemoised_family_closure, M, fam)

@@ -26,7 +26,7 @@ from garnorm import (
     normalize,
     thurston_normalize,
 )
-from garnorm.core import DEFAULT_NODE_BUDGET, _insert_ids, _sweep_normalize_ids
+from garnorm.core import _insert_ids, _sweep_normalize_ids
 from helpers import all_words, brute_normal_forms
 from test_core import cycling_fork_table, fork_table, swap_table
 
@@ -37,7 +37,7 @@ def assert_insertion_matches_sweeps(table: NormTable, max_len: int) -> None:
     g = len(table.alphabet)
     for n in range(1, max_len + 1):
         for ids in itertools.product(range(g), repeat=n):
-            want = _sweep_normalize_ids(table, ids, DEFAULT_NODE_BUDGET)
+            want = _sweep_normalize_ids(table, ids)
             assert _insert_ids(table._pairs, g, ids) == want, ids
 
 
@@ -130,4 +130,4 @@ def test_a_sweep_that_moves_only_right_letters_is_no_fixpoint():
         normalize(t, al.word("a a"))
     th = MealyMachine(al, al, [[1, 0], [0, 1]], [[0, 0], [1, 1]])
     with pytest.raises(SweepBudgetExhausted):
-        thurston_normalize(th, al.word("a a"), max_sweeps=3)
+        thurston_normalize(th, al.word("a a"))

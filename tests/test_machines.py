@@ -470,19 +470,13 @@ def test_thurston_plactic_single_sweep():
 def test_thurston_normal_word_unchanged():
     th = build_thurston(plactic2)
     w = plactic2.alphabet.word("1 a ba")
-    assert thurston_normalize(th, w, max_sweeps=0) == w
+    assert thurston_normalize(th, w) == w
 
 
 def test_thurston_bicyclic():
     th = build_thurston(bicyclic)
     w = bicyclic.alphabet.word("a a b")
-    assert thurston_normalize(th, w, max_sweeps=3) == bicyclic.alphabet.word("1 1 a")
-
-
-def test_thurston_sweep_budget():
-    th = build_thurston(bicyclic)
-    with pytest.raises(SweepBudgetExhausted):
-        thurston_normalize(th, bicyclic.alphabet.word("a a b"), max_sweeps=1)
+    assert thurston_normalize(th, w) == bicyclic.alphabet.word("1 1 a")
 
 
 def test_thurston_requires_square_machine():
@@ -517,33 +511,29 @@ def test_thurston_budget_boundary_on_a_word_that_needs_every_sweep():
     assert changing_sweeps(th, bs10.alphabet.ids(w)) == len(w) - 1
     with pytest.raises(SweepBudgetExhausted):
         sweep_thurston(th, w, max_sweeps=4)
-    with pytest.raises(SweepBudgetExhausted):
-        thurston_normalize(th, w, max_sweeps=4)
     want = bs10.alphabet.word("1 a a a a a")
     assert normalize(bs10, w) == want
     assert sweep_thurston(th, w, max_sweeps=5) == want
-    assert thurston_normalize(th, w, max_sweeps=5) == want
+    assert thurston_normalize(th, w) == want
 
 
 @st.composite
-def pair_maps_words_and_budgets(draw):
-    """An idempotent pair map on 2-5 letters, a word of 1-30 letters over
-    it, and a sweep budget: the default, |w| - 2, |w| - 1 or 0-3."""
+def pair_maps_and_words(draw):
+    """An idempotent pair map on 2-5 letters and a word of 1-30 letters
+    over it."""
     t = draw(idempotent_pair_maps())
     ids = draw(st.lists(st.integers(0, len(t.alphabet) - 1), min_size=1, max_size=30))
-    n = len(ids)
-    budget = draw(st.sampled_from((None, n - 2, n - 1, 0, 1, 2, 3)))
-    return t, Word(t.alphabet.symbols[i] for i in ids), budget
+    return t, Word(t.alphabet.symbols[i] for i in ids)
 
 
 def test_thurston_matches_sweeps_on_random_pair_maps(record_testsuite_property):
     """``thurston_normalize`` returns what ``helpers.sweep_thurston``
-    returns, or raises the same exception class.  The examples it answers
-    by insertion (a home table and a budget of at least |w| - 1), by sweeps
-    on a home table with a smaller budget, and by sweeps on a table that is
-    not home are counted; each count is recorded as a suite property and
-    must be positive."""
-    seen = {"inserted": 0, "swept_home": 0, "swept_not_home": 0}
+    returns, or raises the same exception class; on a home table, where it
+    inserts, |w| - 1 sweeps already give its answer.  The examples it
+    answers by insertion and by sweeps on a table that is not home are
+    counted; each count is recorded as a suite property and must be
+    positive."""
+    seen = {"inserted": 0, "swept_not_home": 0}
 
     def outcome(f, *args):
         try:
@@ -552,18 +542,17 @@ def test_thurston_matches_sweeps_on_random_pair_maps(record_testsuite_property):
             return type(exc)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(pair_maps_words_and_budgets())
+    @given(pair_maps_and_words())
     def check(case):
-        t, w, budget = case
+        t, w = case
         th = build_thurston(t)
-        got = outcome(thurston_normalize, th, w, budget)
-        assert got == outcome(sweep_thurston, th, w, budget)
-        if not t._incremental():
-            seen["swept_not_home"] += 1
-        elif budget is None or budget >= len(w) - 1:
+        got = outcome(thurston_normalize, th, w)
+        assert got == outcome(sweep_thurston, th, w)
+        if t._incremental():
+            assert got == sweep_thurston(th, w, len(w) - 1)
             seen["inserted"] += 1
         else:
-            seen["swept_home"] += 1
+            seen["swept_not_home"] += 1
 
     check()
     for key, count in seen.items():

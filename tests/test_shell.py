@@ -519,6 +519,18 @@ def test_cli_bad_budget_env_exit_2(tmp_path, capsys, monkeypatch):
     assert "GARNORM_BUDGET" in err
 
 
+@pytest.mark.parametrize("argv", (
+    ("breadth", "gallery:bicyclic"),
+    ("check", "gallery:malcev"),
+    ("gallery", "bs10"),
+))
+def test_cli_bad_budget_env_exit_2_on_every_command(capsys, monkeypatch, argv):
+    monkeypatch.setenv("GARNORM_BUDGET", "0")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "GARNORM_BUDGET must be positive" in err
+
+
 def test_cli_predicate_commands_are_pure(capsys):
     first = run_cli(capsys, "home", "gallery:bicyclic")
     second = run_cli(capsys, "home", "gallery:bicyclic")
