@@ -22,10 +22,13 @@ three-letter word, which is what ``condition_home`` checks, is the
 restriction of a normalisation of class (4,3); for such a table N(w x) is
 one right-to-left sweep of N(w) x, so normal forms are built by inserting
 the letters one at a time.  Every other table is normalised by repeated
-left-to-right sweeps, falling back to an exhaustive search of the rewrite
-graph when the sweeps cycle.  Both strategies, and the sweeping transducer
-of :mod:`garnorm.machines`, share one encoding: a flat tuple of image
-pairs indexed ``a * g + b`` for the pair (a, b) over g letters.
+left-to-right sweeps.  A sweep is one map on the words of one length, so
+its iterates end at a normal word, at a fixpoint that is not normal, or in
+a cycle; on the last two, and when the sweeps spend the node budget, an
+exhaustive search of the rewrite graph takes over.  Both strategies, and
+the sweeping transducer of :mod:`garnorm.machines`, share one encoding: a
+flat tuple of image pairs indexed ``a * g + b`` for the pair (a, b) over g
+letters.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs and of the calling thread's node budget (see
@@ -123,10 +126,6 @@ class NotTerminating(BudgetExhausted):
     """A rewrite cycle was found, so derivation lengths are unbounded."""
 
 
-class SweepBudgetExhausted(BudgetExhausted):
-    """Iterated sweeps did not reach a normal word within the sweep budget."""
-
-
 class NormalWordBudgetExhausted(NotNormalising, BudgetExhausted):
     """The search for a reachable normal word hit its node budget without
     finding one, so whether one exists is unknown."""
@@ -192,7 +191,7 @@ class Alphabet:
     alphabet.  Alphabets compare equal when their name sequences agree.
     """
 
-    __slots__ = ("symbols", "_by_name")
+    __slots__ = ("symbols", "_names", "_by_name")
 
     def __init__(self, names: Iterable[str]):
         symbols = []
@@ -206,6 +205,7 @@ class Alphabet:
             symbols.append(sym)
             by_name[name] = sym
         self.symbols: tuple[Symbol, ...] = tuple(symbols)
+        self._names = tuple(by_name)
         self._by_name = by_name
 
     def __len__(self) -> int:
@@ -226,16 +226,16 @@ class Alphabet:
             raise LetterNotInAlphabet(f"unknown symbol {name!r}") from None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and self.names() == other.names()
+        return isinstance(other, Alphabet) and self._names == other._names
 
     def __hash__(self) -> int:
-        return hash(self.names())
+        return hash(self._names)
 
     def __repr__(self) -> str:
         return f"Alphabet({list(self.names())!r})"
 
     def names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.symbols)
+        return self._names
 
     def word_of(self, names: Iterable[str]) -> "Word":
         return _word_from_ids(self, [self[n].id for n in names])
@@ -571,21 +571,44 @@ def _reachable_normals(
     return normals, budget_hit
 
 
+def _sweep_to_normal(alphabet: Alphabet, pairs, ids: Sequence[int]) -> tuple[int, ...]:
+    """Sweep the word left to right until a sweep gives it back, and return
+    it if it is normal.  A sweep is one map on the g**n words of length n,
+    so its iterates end at a fixpoint or in a cycle, and a normal word is a
+    fixpoint.  Raises :class:`NotNormalising` on a fixpoint that is not
+    normal and on a cycle, which Brent's method (BIT 1980) finds in O(1)
+    memory: each word is compared with the one kept at the last power of
+    two.  Each sweep costs one node of the :func:`node_budget`, and
+    :class:`BudgetExhausted` is raised when they are spent."""
+    g, budget = len(alphabet), _NODE_BUDGET.get()
+    w = kept = list(ids)
+    power = 1
+    for spent in range(1, budget + 1):
+        swept = _sweep(pairs, g, w[0], w[1:])
+        if swept == w:
+            if _is_normal_ids(pairs, g, w):
+                return tuple(w)
+            raise NotNormalising(f"sweeps of '{_word_from_ids(alphabet, ids)}' stop at "
+                                 f"'{_word_from_ids(alphabet, w)}', which is not normal")
+        if swept == kept:
+            raise NotNormalising(f"sweeps of '{_word_from_ids(alphabet, ids)}' cycle "
+                                 f"without reaching a normal word")
+        if spent == power:
+            kept, power = swept, 2 * power
+        w = swept
+    raise BudgetExhausted(
+        f"sweeps of '{_word_from_ids(alphabet, ids)}' exceeded the node budget of {budget}"
+    )
+
+
 def _sweep_normalize_ids(table: NormTable, ids: tuple[int, ...]) -> tuple[int, ...]:
     """Normal form by repeated sweeps, with an exhaustive fallback search
-    when they cycle; valid for every table."""
-    n = len(ids)
-    pairs, g = table._pairs, len(table.alphabet)
-    w = ids
-    seen = {ids}
-    for _ in range(n * n + n):
-        if _is_normal_ids(pairs, g, w):
-            return w
-        w = tuple(_sweep(pairs, g, w[0], w[1:]))
-        if w in seen:
-            break
-        seen.add(w)
-    # Sweeps cycle: fall back to exhaustive search from the original word.
+    when they stop short of one; valid for every table."""
+    try:
+        return _sweep_to_normal(table.alphabet, table._pairs, ids)
+    except (NotNormalising, BudgetExhausted):
+        pass
+    # The sweeps reach no normal word: search the rewrite graph from the word.
     budget = _NODE_BUDGET.get()
     normals, budget_hit = _reachable_normals(table, ids, budget)
     al = table.alphabet
@@ -646,10 +669,11 @@ def normalize(table: NormTable, w: Word) -> Word:
     table qualifies is computed on its first normalisation and cached on
     the table.
 
-    Every other table gets repeated left-to-right sweeps until fixpoint,
-    capped at |w|**2 + |w| sweeps; if the sweeps cycle, an exhaustive
-    breadth-first search of the rewrite graph takes over, up to the
-    :func:`node_budget` in force.  Raises :class:`NotNormalising` when no
+    Every other table gets repeated left-to-right sweeps until one gives
+    the word back, each costing one node of the :func:`node_budget`.  If
+    that word is not normal, or the sweeps cycle or spend the budget, an
+    exhaustive breadth-first search of the rewrite graph takes over, up to
+    the same budget.  Raises :class:`NotNormalising` when no
     normal word is reachable, :class:`NormalWordBudgetExhausted` (a
     subclass of both it and :class:`BudgetExhausted`) when the search
     stopped at the budget before finding one, and :class:`NotConfluent`

@@ -54,12 +54,11 @@ from .core import (
     Alphabet,
     GarnormError,
     NormTable,
-    SweepBudgetExhausted,
     Symbol,
     Word,
     _insert_ids,
-    _is_normal_ids,
     _sweep,
+    _sweep_to_normal,
     _word_from_ids,
 )
 
@@ -553,8 +552,10 @@ def thurston_normalize(t: MealyMachine, w: Word) -> Word:
 
     One sweep starts in state w[0], feeds w[1:], and replaces the word by
     the outputs followed by the arrival state; sweeps repeat until one
-    changes nothing, and the word must then be normal, or else
-    :class:`SweepBudgetExhausted` is raised.  At most |w|**2 sweeps run.
+    changes nothing, and the word must then be normal.  Raises
+    :class:`NotNormalising` when the sweeps stop at a word that is not
+    normal or cycle, and :class:`BudgetExhausted` when they run past the
+    :func:`node_budget`, which each sweep costs one node of.
 
     When the pairs of ``t`` form a home table (idempotent and satisfying
     :func:`condition_home`), the normal form N(w) is computed by letter
@@ -585,17 +586,7 @@ def thurston_normalize(t: MealyMachine, w: Word) -> Word:
     pairs, g = t._pairs, len(t.alphabet)
     if _sweeps_home(t):
         return _word_from_ids(t.alphabet, _insert_ids(pairs, g, ids))
-    ids = list(ids)
-    for _ in range(len(ids) ** 2):
-        swept = _sweep(pairs, g, ids[0], ids[1:])
-        if swept == ids:
-            break
-        ids = swept
-    if not _is_normal_ids(pairs, g, ids):
-        raise SweepBudgetExhausted(
-            f"word '{_word_from_ids(t.alphabet, ids)}' not normal after {len(ids) ** 2} sweeps"
-        )
-    return _word_from_ids(t.alphabet, ids)
+    return _word_from_ids(t.alphabet, _sweep_to_normal(t.alphabet, pairs, ids))
 
 
 # ---------------------------------------------------------------------------

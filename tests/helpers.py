@@ -18,7 +18,7 @@ from garnorm import (
     GarnormError,
     MissingUnit,
     NormTable,
-    SweepBudgetExhausted,
+    NotNormalising,
     Symbol,
     Word,
 )
@@ -330,26 +330,32 @@ def sweep_run_word(m, qs, ids) -> tuple[tuple[int, ...], list[int]]:
 
 
 def sweep_thurston(t, w: Word, max_sweeps: int | None = None) -> Word:
-    """``thurston_normalize`` by sweeps alone, on every machine and budget:
-    sweep until a sweep changes nothing or the budget (default |w|**2) is
-    spent, then return the word if it is normal and raise
-    ``SweepBudgetExhausted`` if not."""
+    """``thurston_normalize`` by sweeps alone, on every machine.  Sweep
+    until a sweep gives the word back, keeping every word seen, and return
+    the word if it is normal; raise ``NotNormalising`` if it is not, or if
+    a word comes back after a longer cycle.  With ``max_sweeps``, the
+    oracle of the |w| - 1 bound, stop after that many sweeps and raise a
+    plain ``BudgetExhausted`` if the word is not normal by then."""
     if t.states is not t.alphabet and t.states != t.alphabet:
         raise GarnormError("sweeping requires a machine whose states are its letters")
     if len(w) == 0:
         raise GarnormError("cannot normalise the empty word")
     ids = list(t.alphabet.ids(w))
-    budget = len(ids) ** 2 if max_sweeps is None else max_sweeps
     pairs, g = t._pairs, len(t.alphabet)
-    for _ in range(budget):
+    seen = {tuple(ids)}
+    error = NotNormalising
+    for _ in itertools.count() if max_sweeps is None else range(max_sweeps):
         swept = _sweep(pairs, g, ids[0], ids[1:])
         if swept == ids:
             break
+        if tuple(swept) in seen:
+            raise NotNormalising(f"sweeps of '{w}' cycle")
+        seen.add(tuple(swept))
         ids = swept
+    else:
+        error = BudgetExhausted  # max_sweeps ran out
     if not _is_normal_ids(pairs, g, ids):
-        raise SweepBudgetExhausted(
-            f"word '{_word_from_ids(t.alphabet, ids)}' not normal after {budget} sweeps"
-        )
+        raise error(f"sweeps of '{w}' reach no normal word")
     return _word_from_ids(t.alphabet, ids)
 
 

@@ -5,17 +5,27 @@ idempotent tables that pass ``condition_home``, and runs the backward
 search ``_rewrite_analysis`` on integer word codes for every other table.
 The search must find nothing on the certified tables, and it must equal
 the dict-based search it replaced, kept in ``helpers`` as the oracle,
-witnesses and order included.
+witnesses and order included.  On the same random tables, ``normalize``
+must agree with the exhaustive closure ``helpers.brute_normal_forms``.
 """
 
 import itertools
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from garnorm import Alphabet, NormTable, gallery_tables, verify_normalisation
+from garnorm import (
+    Alphabet,
+    BudgetExhausted,
+    NormTable,
+    NotConfluent,
+    NotNormalising,
+    gallery_tables,
+    normalize,
+    verify_normalisation,
+)
 from garnorm.core import NormalisationReport, _rewrite_analysis, _word_from_ids
-from helpers import dict_rewrite_analysis
+from helpers import brute_normal_forms, dict_rewrite_analysis
 from test_incremental import random_idempotent_table
 from test_verify import random_free_table
 
@@ -96,3 +106,39 @@ def test_verify_normalisation_matches_dict_oracle(table):
         not_confluent=confl,
     )
     assert verify_normalisation(table, 4) == want
+
+
+def test_normalize_matches_brute_force_on_random_tables(record_testsuite_property):
+    """On random tables that are not home, so that ``normalize`` sweeps and
+    may fall back to its search, each outcome matches
+    ``helpers.brute_normal_forms``: a returned word is one of the reachable
+    normal words, ``NotNormalising`` that the budget did not cut means there
+    is none, and ``NotConfluent`` means there are two or more, on every
+    word of 2-3 letters.  Each outcome is counted; the counts are recorded
+    as suite properties and must be positive."""
+    seen = {"normalised": 0, "not_normalising": 0, "not_confluent": 0}
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(pair_maps())
+    def check(table):
+        assume(not table._incremental())
+        g = len(table.alphabet)
+        for ids in itertools.chain(*(itertools.product(range(g), repeat=n) for n in (2, 3))):
+            w = _word_from_ids(table.alphabet, ids)
+            normals = brute_normal_forms(table, w)
+            try:
+                got = normalize(table, w)
+            except NotConfluent:
+                assert len(normals) >= 2, w
+                seen["not_confluent"] += 1
+            except NotNormalising as exc:
+                assert not isinstance(exc, BudgetExhausted) and not normals, w
+                seen["not_normalising"] += 1
+            else:
+                assert got in normals, w
+                seen["normalised"] += 1
+
+    check()
+    for key, count in seen.items():
+        record_testsuite_property(key, count)
+        assert count > 0, key

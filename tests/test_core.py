@@ -122,6 +122,14 @@ def test_alphabet_lookup():
         al["z"]
 
 
+def test_alphabet_keeps_its_names():
+    # names() hands out one kept tuple, and equality and hashing read it
+    al = Alphabet(("x", "y"))
+    assert al.names() == ("x", "y") and al.names() is al.names()
+    assert al == Alphabet(["x", "y"]) and hash(al) == hash(Alphabet(iter("xy")))
+    assert al != Alphabet(("y", "x"))
+
+
 def test_word_basics():
     al = Alphabet(("a", "b"))
     u = al.word("a b")

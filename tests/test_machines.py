@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from garnorm import (
     Alphabet,
+    BudgetExhausted,
     GarnormError,
     LetterNotInAlphabet,
     MealyMachine,
-    SweepBudgetExhausted,
+    NotNormalising,
     Word,
     action_equal,
     build_mealy,
@@ -20,6 +21,7 @@ from garnorm import (
     gallery_tables,
     growth,
     minimize,
+    node_budget,
     normalize,
     numeration_iterate,
     padding_normal_form,
@@ -509,12 +511,45 @@ def test_thurston_budget_boundary_on_a_word_that_needs_every_sweep():
     th = build_thurston(bs10)
     w = bs10.alphabet.word("a a a a a b")
     assert changing_sweeps(th, bs10.alphabet.ids(w)) == len(w) - 1
-    with pytest.raises(SweepBudgetExhausted):
+    with pytest.raises(BudgetExhausted):
         sweep_thurston(th, w, max_sweeps=4)
     want = bs10.alphabet.word("1 a a a a a")
     assert normalize(bs10, w) == want
     assert sweep_thurston(th, w, max_sweeps=5) == want
     assert thurston_normalize(th, w) == want
+
+
+def x0_x1_machine():
+    # not idempotent: (x0 x1) -> (x2 x0) -> (x1 x1)
+    al = Alphabet(("x0", "x1", "x2"))
+    pairs = [(0, 0), (2, 0), (1, 0), (1, 0), (2, 2), (1, 2), (1, 1), (1, 0), (2, 1)]
+    nxt = [[pairs[3 * q + i][1] for i in range(3)] for q in range(3)]
+    out = [[pairs[3 * q + i][0] for i in range(3)] for q in range(3)]
+    return MealyMachine(al, al, nxt, out)
+
+
+def test_thurston_sweeps_past_the_square_of_the_length():
+    # x0 x1 sweeps to x2 x1 after 4 = |w|**2 sweeps and to the normal word
+    # x1 x0 after 5
+    th = x0_x1_machine()
+    w = th.alphabet.word("x0 x1")
+    assert changing_sweeps(th, th.alphabet.ids(w)) == 5
+    with pytest.raises(BudgetExhausted):
+        sweep_thurston(th, w, max_sweeps=4)
+    assert thurston_normalize(th, w) == th.alphabet.word("x1 x0")
+    assert sweep_thurston(th, w) == th.alphabet.word("x1 x0")
+
+
+def test_thurston_sweeps_are_charged_to_the_node_budget():
+    # 5 sweeps change x0 x1 and a 6th gives it back
+    th = x0_x1_machine()
+    w = th.alphabet.word("x0 x1")
+    for budget in (1, 5):
+        with pytest.raises(BudgetExhausted) as cut, node_budget(budget):
+            thurston_normalize(th, w)
+        assert not isinstance(cut.value, NotNormalising)
+    with node_budget(6):
+        assert thurston_normalize(th, w) == th.alphabet.word("x1 x0")
 
 
 @st.composite
@@ -526,6 +561,14 @@ def pair_maps_and_words(draw):
     return t, Word(t.alphabet.symbols[i] for i in ids)
 
 
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the class of the error it raises."""
+    try:
+        return f(*args)
+    except GarnormError as exc:
+        return type(exc)
+
+
 def test_thurston_matches_sweeps_on_random_pair_maps(record_testsuite_property):
     """``thurston_normalize`` returns what ``helpers.sweep_thurston``
     returns, or raises the same exception class; on a home table, where it
@@ -534,12 +577,6 @@ def test_thurston_matches_sweeps_on_random_pair_maps(record_testsuite_property):
     counted; each count is recorded as a suite property and must be
     positive."""
     seen = {"inserted": 0, "swept_not_home": 0}
-
-    def outcome(f, *args):
-        try:
-            return f(*args)
-        except GarnormError as exc:
-            return type(exc)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(pair_maps_and_words())
@@ -558,6 +595,44 @@ def test_thurston_matches_sweeps_on_random_pair_maps(record_testsuite_property):
     for key, count in seen.items():
         record_testsuite_property(key, count)
         assert count > 0, key
+
+
+@st.composite
+def arbitrary_machines_and_words(draw):
+    """A machine whose states are its 3-4 letters, with an arbitrary pair
+    table, and 1-30 words of 2-5 letters over it."""
+    g = draw(st.integers(3, 4))
+    al = Alphabet(f"x{i}" for i in range(g))
+    letter = st.integers(0, g - 1)
+    nxt, out = (draw(st.lists(st.lists(letter, min_size=g, max_size=g), min_size=g, max_size=g))
+                for _ in range(2))
+    words = draw(st.lists(st.lists(letter, min_size=2, max_size=5), min_size=1, max_size=30))
+    return MealyMachine(al, al, nxt, out), [Word(al.symbols[i] for i in ids) for ids in words]
+
+
+def test_thurston_matches_uncapped_sweeps_on_arbitrary_pair_maps(record_testsuite_property):
+    """On machines with arbitrary pair tables, which are seldom
+    idempotent, ``thurston_normalize`` returns what the uncapped
+    ``helpers.sweep_thurston`` returns, or raises the same exception class.
+    The words that more than |w|**2 sweeps change before they are normal
+    are counted; the count is recorded as the suite property
+    ``past_square`` and must be positive."""
+    past_square = 0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(arbitrary_machines_and_words())
+    def check(case):
+        nonlocal past_square
+        th, words = case
+        for w in words:
+            got = outcome(thurston_normalize, th, w)
+            assert got == outcome(sweep_thurston, th, w)
+            if isinstance(got, Word):
+                past_square += changing_sweeps(th, th.alphabet.ids(w)) > len(w) ** 2
+
+    check()
+    record_testsuite_property("past_square", past_square)
+    assert past_square > 0
 
 
 # ---------------------------------------------------------------------------
