@@ -21,21 +21,27 @@ IJAC 2016) show that an idempotent table with N_121 = N_2121 on every
 three-letter word, which is what ``condition_home`` checks, is the
 restriction of a normalisation of class (4,3); for such a table N(w x) is
 one right-to-left sweep of N(w) x, so normal forms are built by inserting
-the letters one at a time.  Every other table is normalised by repeated
-left-to-right sweeps.  A sweep is one map on the words of one length, so
-its iterates end at a normal word, at a fixpoint that is not normal, or in
-a cycle; on the last two, and when the sweeps spend the node budget, an
-exhaustive search of the rewrite graph takes over.  Both strategies, and
-the sweeping transducer of :mod:`garnorm.machines`, share one encoding: a
-flat tuple of image pairs indexed ``a * g + b`` for the pair (a, b) over g
-letters.
+the letters one at a time.  The unit migrates left as padding, so the
+padding letters of a normal word are its prefix: insertion keeps them as a
+count and sweeps the rest, and an inserted or carried padding letter
+joins the count at once instead of walking across the word (see
+:func:`_insert_ids`).  The padding letter is read off the pairs, so a
+table or machine with no designated unit gets it too.  Every other table
+is normalised by repeated left-to-right sweeps.  A sweep is one map on the
+words of one length, so its iterates end at a normal word, at a fixpoint
+that is not normal, or in a cycle; on the last two, and when the sweeps
+spend the node budget, an exhaustive search of the rewrite graph takes
+over.  Both strategies, and the sweeping transducer of
+:mod:`garnorm.machines`, share one encoding: a flat tuple of image pairs
+indexed ``a * g + b`` for the pair (a, b) over g letters.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs and of the calling thread's node budget (see
 :func:`node_budget`), so concurrent read-only use is safe.  Two values are
 computed on first use and written once: whether a table satisfies
-``condition_home``, and the letters of a word built from ids.  Concurrent
-first uses compute equal values, so the unlocked writes are harmless.
+``condition_home`` (with its padding letter), and the letters of a word
+built from ids.  Concurrent first uses compute equal values, so the
+unlocked writes are harmless.
 """
 
 from __future__ import annotations
@@ -376,7 +382,7 @@ class NormTable:
     and a total map on ordered pairs of letters (unlisted pairs are fixed).
     """
 
-    __slots__ = ("alphabet", "unit", "_pairs", "_home")
+    __slots__ = ("alphabet", "unit", "_pairs", "_home", "_pad")
 
     def __init__(
         self,
@@ -397,13 +403,14 @@ class NormTable:
         # image of the pair (a, b) at index a * g + b
         self._pairs: tuple[tuple[int, int], ...] = tuple(pairs)
         self._home: bool | None = None  # see _incremental
+        self._pad = -1  # see _incremental
 
     @classmethod
     def _of_pairs(cls, alphabet: Alphabet, pairs) -> "NormTable":
         """The table without a unit on a flat pair table that is already
         total."""
         t = cls.__new__(cls)
-        t.alphabet, t.unit, t._pairs, t._home = alphabet, None, pairs, None
+        t.alphabet, t.unit, t._pairs, t._home, t._pad = alphabet, None, pairs, None, -1
         return t
 
     def _index(self, a: Symbol | str, b: Symbol | str) -> int:
@@ -472,8 +479,10 @@ class NormTable:
     def _incremental(self) -> bool:
         """Whether ``normalize`` may insert letters one at a time: the table
         is idempotent and satisfies :func:`condition_home`.  Computed on
-        first use and cached."""
+        first use and cached, after ``_pad``, the padding letter that
+        insertion counts instead of carrying (see :func:`_insert_ids`)."""
         if self._home is None:
+            self._pad = _padding_letter(self._pairs, len(self.alphabet))
             self._home = not self.idempotence_failures() and not home_failures(breadth(self))
         return self._home
 
@@ -511,26 +520,60 @@ def _sweep(pairs, g: int, a: int, w: Sequence[int]) -> list[int]:
     return res
 
 
-def _insert_ids(pairs, g: int, ids: Sequence[int]) -> tuple[int, ...]:
+def _padding_letter(pairs, g: int) -> int:
+    """The padding letter of a pair table: the letter u with (x, u) -> (u, x)
+    and (u, x) fixed for every letter x, or -1 when there is none.  At most
+    one letter qualifies: for two, u and v, (u, v) would go both to (v, u)
+    and to itself."""
+    for u in range(g):
+        if all(pairs[x * g + u] == (u, x) == pairs[u * g + x] for x in range(g)):
+            return u
+    return -1
+
+
+def _insert_ids(pairs, g: int, ids: Sequence[int], pad: int = -1) -> tuple[int, ...]:
     """Normal form by letter insertion, exact for class (4,3) tables only.
 
     Each new letter x turns the normal word N(w) x into N(w x) by one
     right-to-left sweep; the sweep stops at the first position whose letter
     the carried letter leaves unchanged, since the normal prefix to its left
     would be fixed too.
+
+    The word N(w) is kept as k copies of the padding letter ``pad`` (see
+    :func:`_padding_letter`; -1 when the table has none) followed by the
+    rest z, and the sweeps run through z alone.  N(w) is normal, and a pair
+    (x, pad) with x != pad is not fixed, so the padding letters of N(w)
+    form its prefix: the k copies, then any at the front of z.  A padding
+    letter that would be carried left meets only pairs (x, pad) -> (pad, x)
+    until it reaches that prefix, whose pairs (pad, x) are fixed, so it
+    ends in the prefix, and counting it is the sweep of the whole word:
+
+    - an inserted padding letter does not enter z: ``k += 1``;
+    - a carried padding letter at slot i leaves z: slot i goes and k grows
+      by one;
+    - a step that writes the padding letter into slot i + 1 leaves it in z,
+      since the sweep only moves left; N(w x) is normal, so it sits at the
+      front of z, where later sweeps stop as they would at the k copies.
     """
-    w = [ids[0]]
-    for x in ids[1:]:
-        i = len(w)
-        w.append(x)
+    k, z = 0, []
+    for x in ids:
+        if x == pad:
+            k += 1
+            continue
+        i = len(z)
+        z.append(x)
         while i:
             i -= 1
-            a = w[i]
-            c, w[i + 1] = pairs[a * g + x]
+            a = z[i]
+            c, z[i + 1] = pairs[a * g + x]
             if c == a:
                 break
-            w[i] = x = c
-    return tuple(w)
+            if c == pad:
+                del z[i]
+                k += 1
+                break
+            z[i] = x = c
+    return (pad,) * k + tuple(z)
 
 
 def _successors(pairs, g: int, ids: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -630,7 +673,7 @@ def _normalize_ids(table: NormTable, ids: tuple[int, ...]) -> tuple[int, ...]:
     if len(ids) <= 1:
         return ids
     if table._incremental():
-        return _insert_ids(table._pairs, len(table.alphabet), ids)
+        return _insert_ids(table._pairs, len(table.alphabet), ids, table._pad)
     return _sweep_normalize_ids(table, ids)
 
 
@@ -665,7 +708,10 @@ def normalize(table: NormTable, w: Word) -> Word:
     "Quadratic normalisation in monoids", IJAC 2016), and the normal form
     is built by inserting the letters one at a time: each new letter is
     swept right to left through the normal prefix, stopping at the first
-    position that keeps its letter.  This path never raises.  Whether the
+    position that keeps its letter.  The table's padding letter, if it has
+    one (a unit u with (x, u) -> (u, x) and (u, x) fixed), is never swept:
+    the normal word's run of them is kept as a count.  This path never
+    raises.  Whether the
     table qualifies is computed on its first normalisation and cached on
     the table.
 
@@ -726,8 +772,19 @@ def _rewrite_analysis(table: NormTable, max_len: int):
     undoing a rewrite at position i adds (a*g + b - c*g - d) * g**(n-2-i)
     for a rule (a, b) -> (c, d).  Each word records the indices of at most
     two normal words in two flat lists of size g**n.
+
+    Each word is one node of the :func:`node_budget`: when the words of
+    length 2..max_len outnumber it, :class:`BudgetExhausted` is raised
+    before anything is allocated.
     """
-    g = len(table.alphabet)
+    g, budget = len(table.alphabet), _NODE_BUDGET.get()
+    words = 0
+    for n in range(2, max_len + 1):
+        words += g**n
+        if words > budget:
+            raise BudgetExhausted(
+                f"the {g}-letter words of length 2 to {max_len} exceed the node budget of {budget}"
+            )
     gg = g * g
     pairs = table._pairs
     # back[c*g + d]: the steps k - (c*g + d) of the pair codes k rewritten to (c, d)
@@ -812,7 +869,10 @@ def verify_normalisation(table: NormTable, max_len: int = 5) -> NormalisationRep
 
     Every other table is searched backwards from the normal words of each
     length, which are built from those one letter shorter by appending each
-    letter that forms a fixed pair with the last one.
+    letter that forms a fixed pair with the last one.  Each word searched
+    costs one node of the :func:`node_budget`; :class:`BudgetExhausted` is
+    raised before the search when the words of length 2..max_len outnumber
+    it.
     """
     if max_len < 3:
         raise GarnormError("max_len must be at least 3")

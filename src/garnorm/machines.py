@@ -37,10 +37,10 @@ per-call except three, each computed on first use and kept on the machine:
 the representative of each action class of length-2 state words (see
 :func:`_pair_reps`), the fixed pairs behind the gate of :func:`growth`
 (see :func:`_fixed_pairs`), and whether the machine's own pairs form a
-home table, the gate of :func:`thurston_normalize` (see
-:func:`_sweeps_home`).  Each is written once, without a lock; two threads
-that race compute the same value, and either assignment leaves a correct
-value, so concurrent readers are safe.
+home table, the gate of :func:`thurston_normalize`, with their padding
+letter (see :func:`_sweeps_home`).  Each is written once, without a lock;
+two threads that race compute the same value, and either assignment
+leaves a correct value, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .core import (
     Symbol,
     Word,
     _insert_ids,
+    _padding_letter,
     _sweep,
     _sweep_to_normal,
     _word_from_ids,
@@ -74,7 +75,7 @@ class MealyMachine:
     stays q.
     """
 
-    __slots__ = ("states", "alphabet", "_pairs", "_idle", "_reps", "_fixed", "_home")
+    __slots__ = ("states", "alphabet", "_pairs", "_idle", "_reps", "_fixed", "_home", "_pad")
 
     def __init__(
         self,
@@ -112,6 +113,7 @@ class MealyMachine:
         self._reps: tuple[tuple[int, int], ...] | None = None  # see _pair_reps
         self._fixed: tuple[tuple[int, ...], ...] | None = None  # see _fixed_pairs
         self._home: bool | None = None  # see _sweeps_home
+        self._pad = -1  # see _sweeps_home
 
     def _pair(self, q: Symbol | str, i: Symbol | str) -> tuple[int, int]:
         return self._pairs[self.states[q].id * len(self.alphabet) + self.alphabet[i].id]
@@ -461,10 +463,8 @@ def _fixed_pairs(m: MealyMachine) -> tuple[tuple[int, ...], ...]:
         fixed, g = (), len(m.alphabet)
         if m.states == m.alphabet:
             pairs = dual(m)._pairs
-            if any(
-                m._idle[u] and all(pairs[u * g + x] == (u, x) for x in range(g))
-                for u in range(g)
-            ) and NormTable._of_pairs(m.alphabet, pairs)._incremental():
+            table = NormTable._of_pairs(m.alphabet, pairs)
+            if _padding_letter(pairs, g) >= 0 and table._incremental():
                 fixed = tuple(
                     tuple(a for a in range(g) if pairs[a * g + b] == (a, b)) for b in range(g)
                 )
@@ -487,11 +487,11 @@ def growth(m: MealyMachine, max_len: int = 5) -> list[int]:
     sweeping transducer, as ``build_mealy(T)`` is.  The machine passes
     when (a) its states are its letters, (b) T is idempotent and
     satisfies :func:`condition_home`, and (c) some letter 1 is an idle
-    state, that is T sends (x, 1) to (1, x), and T fixes every (1, x).
-    At most one letter meets (c): for two, u and v, T would send (u, v)
-    both to (v, u) and to itself.  Then m is the Mealy machine of a table
-    of class (4,3) with a unit, and the classes of length k are the
-    normal words of length k:
+    state, that is T sends (x, 1) to (1, x), and T fixes every (1, x):
+    1 is T's padding letter.  At most one letter meets (c): for two, u and
+    v, T would send (u, v) both to (v, u) and to itself.  Then m is the
+    Mealy machine of a table of class (4,3) with a unit, and the classes
+    of length k are the normal words of length k:
 
     - distinct normal words act differently: :func:`padding_normal_form`
       reads the unit-padded normal form of a state word back from its
@@ -539,11 +539,14 @@ def padding_normal_form(m: MealyMachine, unit: Symbol | str, u: Word, n: int) ->
 def _sweeps_home(t: MealyMachine) -> bool:
     """Whether the table with the pairs of ``t`` is idempotent and satisfies
     :func:`condition_home`, for a machine whose states are its letters.
-    Computed once per machine and kept in ``t._home``, written once without
-    a lock as ``t._reps`` is."""
+    Computed once per machine and kept in ``t._home``, after the table's
+    padding letter in ``t._pad``, both written once without a lock as
+    ``t._reps`` is."""
     home = t._home
     if home is None:
-        home = t._home = NormTable._of_pairs(t.alphabet, t._pairs)._incremental()
+        table = NormTable._of_pairs(t.alphabet, t._pairs)
+        home = table._incremental()
+        t._pad, t._home = table._pad, home
     return home
 
 
@@ -559,8 +562,10 @@ def thurston_normalize(t: MealyMachine, w: Word) -> Word:
 
     When the pairs of ``t`` form a home table (idempotent and satisfying
     :func:`condition_home`), the normal form N(w) is computed by letter
-    insertion, as ``normalize`` computes it; every other machine sweeps.
-    The sweeps give the same word:
+    insertion, as ``normalize`` computes it, counting the padding letter
+    of those pairs instead of sweeping it; the letter is read off the
+    pairs, so a machine with no designated unit, read from a file, counts
+    it too.  Every other machine sweeps.  The sweeps give the same word:
 
     - Lemma: if the sweep of P (|P| >= 2) writes O and carries c, then
       N(P) = N(O) c.  For |P| = 2 this is idempotence.  For P = P' p, where
@@ -585,7 +590,7 @@ def thurston_normalize(t: MealyMachine, w: Word) -> Word:
         raise GarnormError("cannot normalise the empty word")
     pairs, g = t._pairs, len(t.alphabet)
     if _sweeps_home(t):
-        return _word_from_ids(t.alphabet, _insert_ids(pairs, g, ids))
+        return _word_from_ids(t.alphabet, _insert_ids(pairs, g, ids, t._pad))
     return _word_from_ids(t.alphabet, _sweep_to_normal(t.alphabet, pairs, ids))
 
 

@@ -369,6 +369,26 @@ def changing_sweeps(t, ids) -> int:
     return count
 
 
+def carried_insertion(pairs, g: int, ids) -> tuple[int, ...]:
+    """Letter insertion with every letter carried: each new letter is swept
+    right to left through the whole normal word built so far, padding
+    letters included, until a step leaves the letter to its left unchanged.
+    The oracle of ``core._insert_ids``, which counts padding letters
+    instead of carrying them."""
+    w = [ids[0]]
+    for x in ids[1:]:
+        i = len(w)
+        w.append(x)
+        while i:
+            i -= 1
+            a = w[i]
+            c, w[i + 1] = pairs[a * g + x]
+            if c == a:
+                break
+            w[i] = x = c
+    return tuple(w)
+
+
 def _thread(tables, tup: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
     """Letter ``j`` through the states of ``tup`` in turn: (last output,
     next states)."""

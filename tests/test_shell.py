@@ -502,6 +502,13 @@ def test_cli_budget_exhaustion_exit_3(tmp_path, capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_cli_check_refuses_a_search_over_the_budget(capsys, monkeypatch):
+    monkeypatch.setenv("GARNORM_BUDGET", "10")
+    code, out, err = run_cli(capsys, "check", "gallery:bicyclic", "--max-len", "14")
+    assert (code, out) == (3, "")
+    assert "exceed the node budget of 10" in err
+
+
 def test_cli_budget_env_reaches_gallery_presentations(capsys, monkeypatch):
     monkeypatch.setenv("GARNORM_BUDGET", "5")
     code, _, err = run_cli(capsys, "greedy", "gallery:braid3")

@@ -15,10 +15,13 @@ import pytest
 
 from garnorm import (
     Alphabet,
+    BudgetExhausted,
     GarnormError,
     NormTable,
     Word,
+    gallery,
     gallery_tables,
+    node_budget,
     normalize,
     unit_condition_failures,
     verify_normalisation,
@@ -98,6 +101,20 @@ def test_verify_normalisation_matches_brute_force():
 def test_inner_factor_walk_finds_nothing_on_gallery_tables(entry):
     assert inner_factor_failures(brute_normals(entry.table, 4)) == []
     assert verify_normalisation(entry.table, 4).axiom_failures == []
+
+
+def test_backward_search_is_refused_when_its_words_outnumber_the_budget():
+    # bicyclic is searched: 9 + 27 + 81 = 117 words of length 2-4 on its 3
+    # letters, one node each
+    bicyclic = gallery("bicyclic").table
+    with node_budget(117):
+        assert verify_normalisation(bicyclic, 4).ok
+    for max_len, budget in ((4, 116), (5, 116), (10**6, 1)):
+        with node_budget(budget), pytest.raises(BudgetExhausted, match=f"budget of {budget}$"):
+            verify_normalisation(bicyclic, max_len)
+    # malcev's report needs no search, so no budget refuses it
+    with node_budget(1):
+        assert verify_normalisation(gallery("malcev").table, 40).ok
 
 
 def unit_loop_failures(table: NormTable, max_len: int) -> list[str]:
