@@ -586,34 +586,6 @@ def _successors(pairs, g: int, ids: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def _reachable_normals(
-    table: NormTable, start: tuple[int, ...], budget: int
-) -> tuple[list[tuple[int, ...]], bool]:
-    """Breadth-first search of the rewrite graph; collects up to two
-    distinct reachable normal words.  Returns (normals, budget_hit)."""
-    pairs, g = table._pairs, len(table.alphabet)
-    seen = {start}
-    queue = deque([start])
-    normals: list[tuple[int, ...]] = []
-    budget_hit = False
-    while queue:
-        w = queue.popleft()
-        succ = _successors(pairs, g, w)
-        if not succ:
-            normals.append(w)
-            if len(normals) == 2:
-                return normals, budget_hit
-            continue
-        for v in succ:
-            if v not in seen:
-                if len(seen) >= budget:
-                    budget_hit = True
-                    continue
-                seen.add(v)
-                queue.append(v)
-    return normals, budget_hit
-
-
 def _sweep_to_normal(alphabet: Alphabet, pairs, ids: Sequence[int]) -> tuple[int, ...]:
     """Sweep the word left to right until a sweep gives it back, and return
     it if it is normal.  A sweep is one map on the g**n words of length n,
@@ -647,26 +619,42 @@ def _sweep_to_normal(alphabet: Alphabet, pairs, ids: Sequence[int]) -> tuple[int
 def _sweep_normalize_ids(table: NormTable, ids: tuple[int, ...]) -> tuple[int, ...]:
     """Normal form by repeated sweeps, with an exhaustive fallback search
     when they stop short of one; valid for every table."""
+    al, pairs, g = table.alphabet, table._pairs, len(table.alphabet)
     try:
-        return _sweep_to_normal(table.alphabet, table._pairs, ids)
+        return _sweep_to_normal(al, pairs, ids)
     except (NotNormalising, BudgetExhausted):
         pass
-    # The sweeps reach no normal word: search the rewrite graph from the word.
+    # The sweeps reach no normal word: search the rewrite graph from the
+    # word, breadth first, for two distinct normal words.
     budget = _NODE_BUDGET.get()
-    normals, budget_hit = _reachable_normals(table, ids, budget)
-    al = table.alphabet
-    if len(normals) >= 2:
-        raise NotConfluent(
-            _word_from_ids(al, ids), _word_from_ids(al, normals[0]), _word_from_ids(al, normals[1])
+    seen, queue = {ids}, deque([ids])
+    first: tuple[int, ...] | None = None
+    budget_hit = False
+    while queue:
+        w = queue.popleft()
+        succ = _successors(pairs, g, w)
+        if not succ:
+            if first is not None:
+                raise NotConfluent(
+                    _word_from_ids(al, ids), _word_from_ids(al, first), _word_from_ids(al, w)
+                )
+            first = w
+            continue
+        for v in succ:
+            if v not in seen:
+                if len(seen) >= budget:
+                    budget_hit = True
+                    continue
+                seen.add(v)
+                queue.append(v)
+    if first is not None:
+        return first
+    word = _word_from_ids(al, ids)
+    if budget_hit:
+        raise NormalWordBudgetExhausted(
+            f"no normal word reachable from '{word}' within {budget} nodes"
         )
-    if not normals:
-        word = _word_from_ids(al, ids)
-        if budget_hit:
-            raise NormalWordBudgetExhausted(
-                f"no normal word reachable from '{word}' within {budget} nodes"
-            )
-        raise NotNormalising(f"no normal word is reachable from '{word}'")
-    return normals[0]
+    raise NotNormalising(f"no normal word is reachable from '{word}'")
 
 
 def _normalize_ids(table: NormTable, ids: tuple[int, ...]) -> tuple[int, ...]:

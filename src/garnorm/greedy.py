@@ -155,41 +155,41 @@ class _Search:
         window = max(len(u), len(v)) + LENGTH_SLACK
         return v in self.class_of(u, window)
 
+    def _contains(self, r1: tuple[int, ...], r2: tuple[int, ...], subwords) -> bool:
+        """Does some word equal to ``r2`` have a subword, as ``subwords``
+        lists them, equal to ``r1``?  The scan behind both verdicts."""
+        window = max(len(r1), len(r2)) + LENGTH_SLACK
+        cls1 = self.class_of(r1, window)
+        for w in self.class_of(r2, window):
+            if not cls1.isdisjoint(subwords(w)):
+                return True
+        return False
+
     def divides(self, r1: tuple[int, ...], r2: tuple[int, ...]) -> bool:
         """Does the element of ``r1`` divide the element of ``r2`` as a
         factor (r2 = x * r1 * y for some x, y, possibly trivial)?"""
         key = (r1, r2)
-        cached = self._divides.get(key)
-        if cached is not None:
-            return cached
-        window = max(len(r1), len(r2)) + LENGTH_SLACK
-        cls1 = self.class_of(r1, window)
-        verdict = False
-        for w in self.class_of(r2, window):
-            n = len(w)
-            if any(
-                w[i:j] in cls1 for i in range(n + 1) for j in range(i, n + 1)
-            ):
-                verdict = True
-                break
-        self._divides[key] = verdict
+        verdict = self._divides.get(key)
+        if verdict is None:
+            verdict = self._divides[key] = self._contains(r1, r2, _factors)
         return verdict
 
     def right_divides(self, r1: tuple[int, ...], r2: tuple[int, ...]) -> bool:
         """Does some word equal to ``r2`` end with a word equal to ``r1``?"""
         key = (r1, r2)
-        cached = self._right_divides.get(key)
-        if cached is not None:
-            return cached
-        window = max(len(r1), len(r2)) + LENGTH_SLACK
-        cls1 = self.class_of(r1, window)
-        verdict = False
-        for w in self.class_of(r2, window):
-            if any(w[i:] in cls1 for i in range(len(w) + 1)):
-                verdict = True
-                break
-        self._right_divides[key] = verdict
+        verdict = self._right_divides.get(key)
+        if verdict is None:
+            verdict = self._right_divides[key] = self._contains(r1, r2, _suffixes)
         return verdict
+
+
+def _factors(w: tuple[int, ...]):
+    n = len(w)
+    return (w[i:j] for i in range(n + 1) for j in range(i, n + 1))
+
+
+def _suffixes(w: tuple[int, ...]):
+    return (w[i:] for i in range(len(w) + 1))
 
 
 _search = lru_cache(maxsize=None)(_Search)  # one per (presentation, budget)

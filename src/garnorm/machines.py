@@ -32,15 +32,18 @@ rest of its input.  In ``build_mealy(table)`` the unit is idle when the
 table sends (x, 1) to (1, x) for every x, so a run over unit padding ends
 once it carries the unit.
 
-Machines are immutable and all operations are pure.  Every memo table is
-per-call except three, each computed on first use and kept on the machine:
+Machines are immutable and all operations are pure.  A machine whose
+states are its letters keeps the table of its own pairs in ``_table``, set
+when the machine is built (``build_thurston`` keeps the table it was
+given); the gates of :func:`thurston_normalize` and :func:`growth` read
+the home verdict and the padding letter off that table, which computes
+them once (``NormTable._incremental``).  Every other memo table is
+per-call except two, each computed on first use and kept on the machine:
 the representative of each action class of length-2 state words (see
-:func:`_pair_reps`), the fixed pairs behind the gate of :func:`growth`
-(see :func:`_fixed_pairs`), and whether the machine's own pairs form a
-home table, the gate of :func:`thurston_normalize`, with their padding
-letter (see :func:`_sweeps_home`).  Each is written once, without a lock;
-two threads that race compute the same value, and either assignment
-leaves a correct value, so concurrent readers are safe.
+:func:`_pair_reps`) and the fixed pairs behind the gate of :func:`growth`
+(see :func:`_fixed_pairs`).  Each is written once, without a lock; two
+threads that race compute the same value, and either assignment leaves a
+correct value, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .core import (
     Symbol,
     Word,
     _insert_ids,
-    _padding_letter,
     _sweep,
     _sweep_to_normal,
     _word_from_ids,
@@ -72,10 +74,12 @@ class MealyMachine:
     and letter id; both are total.  The machine keeps them as one flat
     pair table, (output, next state) at index q * s + i over s letters,
     and ``_idle[q]``, true when state q on every letter i writes i and
-    stays q.
+    stays q.  When the states are the letters, ``_table`` is the table with
+    the machine's pairs, which decides whether they are home and finds
+    their padding letter; otherwise it is None.
     """
 
-    __slots__ = ("states", "alphabet", "_pairs", "_idle", "_reps", "_fixed", "_home", "_pad")
+    __slots__ = ("states", "alphabet", "_pairs", "_idle", "_reps", "_fixed", "_table")
 
     def __init__(
         self,
@@ -112,8 +116,7 @@ class MealyMachine:
         )
         self._reps: tuple[tuple[int, int], ...] | None = None  # see _pair_reps
         self._fixed: tuple[tuple[int, ...], ...] | None = None  # see _fixed_pairs
-        self._home: bool | None = None  # see _sweeps_home
-        self._pad = -1  # see _sweeps_home
+        self._table = NormTable._of_pairs(alphabet, pairs) if states == alphabet else None
 
     def _pair(self, q: Symbol | str, i: Symbol | str) -> tuple[int, int]:
         return self._pairs[self.states[q].id * len(self.alphabet) + self.alphabet[i].id]
@@ -184,9 +187,12 @@ class IterationResult:
 def build_thurston(table: NormTable) -> MealyMachine:
     """The sweeping transducer: from state x on input y, look up (x, y);
     emit the leftmost letter of the image and carry the rightmost.  Its
-    pair table is the table's own."""
+    pair table is the table's own, and it keeps ``table`` itself, so the
+    table and its transducers share one home verdict."""
     table.require_idempotent()
-    return MealyMachine._of_pairs(table.alphabet, table.alphabet, table._pairs)
+    m = MealyMachine._of_pairs(table.alphabet, table.alphabet, table._pairs)
+    m._table = table
+    return m
 
 
 def build_mealy(table: NormTable) -> MealyMachine:
@@ -461,13 +467,12 @@ def _fixed_pairs(m: MealyMachine) -> tuple[tuple[int, ...], ...]:
     fixed = m._fixed
     if fixed is None:
         fixed, g = (), len(m.alphabet)
-        if m.states == m.alphabet:
-            pairs = dual(m)._pairs
-            table = NormTable._of_pairs(m.alphabet, pairs)
-            if _padding_letter(pairs, g) >= 0 and table._incremental():
-                fixed = tuple(
-                    tuple(a for a in range(g) if pairs[a * g + b] == (a, b)) for b in range(g)
-                )
+        table = dual(m)._table
+        if table is not None and table._incremental() and table._pad >= 0:
+            pairs = table._pairs
+            fixed = tuple(
+                tuple(a for a in range(g) if pairs[a * g + b] == (a, b)) for b in range(g)
+            )
         m._fixed = fixed
     return fixed
 
@@ -536,20 +541,6 @@ def padding_normal_form(m: MealyMachine, unit: Symbol | str, u: Word, n: int) ->
     return _word_from_ids(m.alphabet, reversed(ids))
 
 
-def _sweeps_home(t: MealyMachine) -> bool:
-    """Whether the table with the pairs of ``t`` is idempotent and satisfies
-    :func:`condition_home`, for a machine whose states are its letters.
-    Computed once per machine and kept in ``t._home``, after the table's
-    padding letter in ``t._pad``, both written once without a lock as
-    ``t._reps`` is."""
-    home = t._home
-    if home is None:
-        table = NormTable._of_pairs(t.alphabet, t._pairs)
-        home = table._incremental()
-        t._pad, t._home = table._pad, home
-    return home
-
-
 def thurston_normalize(t: MealyMachine, w: Word) -> Word:
     """Normalise by iterated sweeps of the sweeping transducer.
 
@@ -583,14 +574,15 @@ def thurston_normalize(t: MealyMachine, w: Word) -> Word:
     The argument uses only what ``normalize`` relies on: insertion is exact
     on home tables.  The bound is tight: on bs10, a a a a a b needs 5.
     """
-    if t.states is not t.alphabet and t.states != t.alphabet:
+    table = t._table
+    if table is None:
         raise GarnormError("sweeping requires a machine whose states are its letters")
     ids = t.alphabet.ids(w)
     if not ids:
         raise GarnormError("cannot normalise the empty word")
     pairs, g = t._pairs, len(t.alphabet)
-    if _sweeps_home(t):
-        return _word_from_ids(t.alphabet, _insert_ids(pairs, g, ids, t._pad))
+    if table._incremental():
+        return _word_from_ids(t.alphabet, _insert_ids(pairs, g, ids, table._pad))
     return _word_from_ids(t.alphabet, _sweep_to_normal(t.alphabet, pairs, ids))
 
 

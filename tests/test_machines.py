@@ -30,6 +30,7 @@ from garnorm import (
     thurston_normalize,
     tuple_action_classes,
 )
+from garnorm import core
 from garnorm.core import NotIdempotent, NormTable
 from helpers import (
     all_words,
@@ -484,6 +485,25 @@ def test_thurston_bicyclic():
 def test_thurston_requires_square_machine():
     with pytest.raises(GarnormError):
         thurston_normalize(div3, div3.alphabet.word("0"))
+
+
+def test_a_table_and_its_sweepers_compute_breadth_once(monkeypatch):
+    # build_thurston keeps its table, so the table and every sweeping
+    # transducer built from it share one home verdict and padding letter
+    calls = []
+    real = core.breadth
+
+    def counting(table):
+        calls.append(table)
+        return real(table)
+
+    monkeypatch.setattr(core, "breadth", counting)
+    source = gallery("braid3").table
+    fresh = NormTable(source.alphabet, source.rules(), unit=source.unit)
+    w = fresh.alphabet.word(" ".join(fresh.alphabet.names() * 3))
+    want = normalize(fresh, w)
+    assert [thurston_normalize(build_thurston(fresh), w) for _ in range(2)] == [want, want]
+    assert calls == [fresh]
 
 
 def test_thurston_matches_normalize_to_length_four():

@@ -319,7 +319,8 @@ def test_threads_racing_on_first_use_all_get_the_oracle_answers():
     written without a lock: threads that race on fresh machines and words
     each compute the same values, so every answer holds."""
     t = gallery("braid3").table
-    m, sweeper = build_mealy(t), build_thurston(t)
+    # the sweeper shares its table's verdict: a fresh table leaves it to the race
+    m, sweeper = build_mealy(t), build_thurston(NormTable(t.alphabet, t.rules(), unit=t.unit))
     pairs = sample_pairs(m, random.Random("threads"), per_length=2, congruent=2)
     words = [Word(t.alphabet.symbols[k % 6] for k in range(n)) for n in range(1, 9)]
     fresh = [_word_from_ids(t.alphabet, [k * n % 6 for k in range(n)]) for n in range(1, 33)]
@@ -345,6 +346,6 @@ def test_threads_racing_on_first_use_all_get_the_oracle_answers():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert results == [want] * len(results)
-    assert m._reps is not None and m._fixed and sweeper._home
+    assert m._reps is not None and m._fixed and sweeper._table._home
     # the letters slot is filled: reading it through its descriptor computes nothing
     assert all(Word.letters.__get__(w) == letters for w, letters in zip(fresh, want[3]))
