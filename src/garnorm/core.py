@@ -21,11 +21,14 @@ IJAC 2016) show that an idempotent table with N_121 = N_2121 on every
 three-letter word, which is what ``condition_home`` checks, is the
 restriction of a normalisation of class (4,3); for such a table N(w x) is
 one right-to-left sweep of N(w) x, so normal forms are built by inserting
-the letters one at a time.  The unit migrates left as padding, so the
-padding letters of a normal word are its prefix: insertion keeps them as a
-count and sweeps the rest, and an inserted or carried padding letter
-joins the count at once instead of walking across the word (see
-:func:`_insert_ids`).  The padding letter is read off the pairs, so a
+the letters one at a time.  On the mirror class (3,4), N(x w) is one
+left-to-right sweep of x N(w), and the letters are inserted from last to
+first.  The unit migrates left as padding, so the padding letters of a
+normal word are its prefix: insertion in either direction keeps them as a
+count and sweeps the rest, and an inserted padding letter, or one carried
+(right insertion) or written (left insertion), joins the count at once
+instead of walking across the word (see :func:`_insert_ids` and
+:func:`_insert_left_ids`).  The padding letter is read off the pairs, so a
 table or machine with no designated unit gets it too.  Every other table
 is normalised by repeated left-to-right sweeps.  A sweep is one map on the
 words of one length, so its iterates end at a normal word, at a fixpoint
@@ -39,9 +42,9 @@ All values are immutable after construction and all operations are pure
 functions of their inputs and of the calling thread's node budget (see
 :func:`node_budget`), so concurrent read-only use is safe.  Two values are
 computed on first use and written once: whether a table satisfies
-``condition_home`` (with its padding letter), and the letters of a word
-built from ids.  Concurrent first uses compute equal values, so the
-unlocked writes are harmless.
+``condition_home`` (with its padding letter and insertion kernel), and the
+letters of a word built from ids.  Concurrent first uses compute equal
+values, so the unlocked writes are harmless.
 """
 
 from __future__ import annotations
@@ -382,7 +385,7 @@ class NormTable:
     and a total map on ordered pairs of letters (unlisted pairs are fixed).
     """
 
-    __slots__ = ("alphabet", "unit", "_pairs", "_home", "_pad")
+    __slots__ = ("alphabet", "unit", "_pairs", "_home", "_pad", "_insert")
 
     def __init__(
         self,
@@ -404,13 +407,15 @@ class NormTable:
         self._pairs: tuple[tuple[int, int], ...] = tuple(pairs)
         self._home: bool | None = None  # see _incremental
         self._pad = -1  # see _incremental
+        self._insert = None  # see _incremental
 
     @classmethod
     def _of_pairs(cls, alphabet: Alphabet, pairs) -> "NormTable":
         """The table without a unit on a flat pair table that is already
         total."""
         t = cls.__new__(cls)
-        t.alphabet, t.unit, t._pairs, t._home, t._pad = alphabet, None, pairs, None, -1
+        t.alphabet, t.unit, t._pairs = alphabet, None, pairs
+        t._home, t._pad, t._insert = None, -1, None
         return t
 
     def _index(self, a: Symbol | str, b: Symbol | str) -> int:
@@ -477,14 +482,36 @@ class NormTable:
         return hash((self.alphabet, self._pairs))
 
     def _incremental(self) -> bool:
-        """Whether ``normalize`` may insert letters one at a time: the table
-        is idempotent and satisfies :func:`condition_home`.  Computed on
-        first use and cached, after ``_pad``, the padding letter that
-        insertion counts instead of carrying (see :func:`_insert_ids`)."""
+        """Whether the table is home: idempotent and satisfying
+        :func:`condition_home`, so of class (4,3).  The one run of
+        :func:`breadth` behind the verdict also decides class (3,4): finite
+        breadth with d <= 3 and p <= 4.  Computed on first use and cached,
+        after ``_pad``, the padding letter that insertion counts instead of
+        carrying, and ``_insert``, the insertion kernel of the table's class
+        (see :meth:`_inserter`)."""
         if self._home is None:
+            home, insert = False, None
+            if not self.idempotence_failures():
+                b = breadth(self)
+                home = not home_failures(b)
+                if home:
+                    insert = _insert_ids
+                elif b.finite and b.d <= 3 and b.p <= 4:
+                    insert = _insert_left_ids
             self._pad = _padding_letter(self._pairs, len(self.alphabet))
-            self._home = not self.idempotence_failures() and not home_failures(breadth(self))
+            self._insert = insert
+            self._home = home
         return self._home
+
+    def _inserter(self):
+        """The insertion kernel exact on the table, or None: right insertion
+        (:func:`_insert_ids`) on class (4,3), tables of both classes
+        included, and left insertion (:func:`_insert_left_ids`) on the other
+        tables of class (3,4).  Both take the pairs, the letter count, the
+        word's ids and ``_pad``."""
+        if self._home is None:
+            self._incremental()
+        return self._insert
 
     def __repr__(self) -> str:
         unit = f", unit={self.unit.name!r}" if self.unit else ""
@@ -576,6 +603,56 @@ def _insert_ids(pairs, g: int, ids: Sequence[int], pad: int = -1) -> tuple[int, 
     return (pad,) * k + tuple(z)
 
 
+def _insert_left_ids(pairs, g: int, ids: Sequence[int], pad: int = -1) -> tuple[int, ...]:
+    """Normal form by left insertion, exact for class (3,4) tables.
+
+    The mirror of a table sends (a, b) to the reverse of the image of
+    (b, a).  It normalises the reversed words, exchanges the positions 1 and
+    2 of a three-letter word, and so exchanges the coordinates d and p of
+    :func:`breadth`: the mirror of a class (3,4) table is of class (4,3).
+    There N(v y) is one right-to-left sweep of y through N(v) (see
+    :func:`_insert_ids`); read backwards, N(x w) is one left-to-right sweep
+    of x through N(w).  So the letters are inserted from last to first, and
+    each is carried right as :func:`_sweep` carries it: at each letter b the
+    pair (x, b) goes to (c, d), c is written and d carried on.  The sweep
+    stops at the first b that comes out unchanged, d = b, since the normal
+    suffix to its right would be fixed too.
+
+    The word N(w) is kept as k copies of the padding letter ``pad`` (see
+    :func:`_padding_letter`; -1 when the table has none) followed by the
+    rest z, which is stored reversed, so that a letter enters at its front
+    by an append.  The padding letters of a normal word form its prefix,
+    since a pair (x, pad) with x != pad is not fixed.  So:
+
+    - an inserted padding letter stops at once, as (pad, x) is fixed:
+      ``k += 1``;
+    - any other letter x crosses the k copies unchanged, as each
+      (x, pad) -> (pad, x) writes a padding letter and carries x, and is
+      swept through z alone;
+    - the padding letters a sweep writes into z sit at its front, as
+      N(x w) is normal, and join the count.
+    """
+    k, z = 0, []
+    for x in reversed(ids):
+        if x == pad:
+            k += 1
+            continue
+        i = len(z)
+        z.append(x)
+        while i:
+            i -= 1
+            b = z[i]
+            z[i + 1], d = pairs[x * g + b]
+            if d == b:
+                break
+            z[i] = x = d
+        while z and z[-1] == pad:
+            z.pop()
+            k += 1
+    z.reverse()
+    return (pad,) * k + tuple(z)
+
+
 def _successors(pairs, g: int, ids: tuple[int, ...]) -> list[tuple[int, ...]]:
     out = []
     for i in range(len(ids) - 1):
@@ -647,9 +724,15 @@ def _sweep_normalize_ids(table: NormTable, ids: tuple[int, ...]) -> tuple[int, .
                     continue
                 seen.add(v)
                 queue.append(v)
-    if first is not None:
+    if first is not None and not budget_hit:
         return first
     word = _word_from_ids(al, ids)
+    if first is not None:
+        # a second normal word may lie past the budget
+        raise BudgetExhausted(
+            f"the search from '{word}' found the normal word '{_word_from_ids(al, first)}' "
+            f"but stopped at the node budget of {budget} before ruling out another"
+        )
     if budget_hit:
         raise NormalWordBudgetExhausted(
             f"no normal word reachable from '{word}' within {budget} nodes"
@@ -660,9 +743,10 @@ def _sweep_normalize_ids(table: NormTable, ids: tuple[int, ...]) -> tuple[int, .
 def _normalize_ids(table: NormTable, ids: tuple[int, ...]) -> tuple[int, ...]:
     if len(ids) <= 1:
         return ids
-    if table._incremental():
-        return _insert_ids(table._pairs, len(table.alphabet), ids, table._pad)
-    return _sweep_normalize_ids(table, ids)
+    insert = table._inserter()
+    if insert is None:
+        return _sweep_normalize_ids(table, ids)
+    return insert(table._pairs, len(table.alphabet), ids, table._pad)
 
 
 def nbar_apply(table: NormTable, w: Word, i: int) -> Word:
@@ -696,12 +780,16 @@ def normalize(table: NormTable, w: Word) -> Word:
     "Quadratic normalisation in monoids", IJAC 2016), and the normal form
     is built by inserting the letters one at a time: each new letter is
     swept right to left through the normal prefix, stopping at the first
-    position that keeps its letter.  The table's padding letter, if it has
-    one (a unit u with (x, u) -> (u, x) and (u, x) fixed), is never swept:
-    the normal word's run of them is kept as a count.  This path never
-    raises.  Whether the
-    table qualifies is computed on its first normalisation and cached on
-    the table.
+    position that keeps its letter.  An idempotent table with finite
+    breadth, d <= 3 and p <= 4 is of the mirror class (3,4), where the
+    letters are inserted from last to first, each swept left to right
+    through the normal suffix (see :func:`_insert_left_ids`); tables of
+    both classes insert on the right.  The table's padding letter, if it
+    has one (a unit u with (x, u) -> (u, x) and (u, x) fixed), is never
+    swept: the normal word's run of them is kept as a count.  These paths
+    never raise.  The table's class is computed on its first normalisation,
+    by the one run of :func:`breadth` behind :func:`condition_home`, and
+    cached on the table.
 
     Every other table gets repeated left-to-right sweeps until one gives
     the word back, each costing one node of the :func:`node_budget`.  If
@@ -710,8 +798,10 @@ def normalize(table: NormTable, w: Word) -> Word:
     the same budget.  Raises :class:`NotNormalising` when no
     normal word is reachable, :class:`NormalWordBudgetExhausted` (a
     subclass of both it and :class:`BudgetExhausted`) when the search
-    stopped at the budget before finding one, and :class:`NotConfluent`
-    when two distinct ones are.
+    stopped at the budget before finding one, :class:`NotConfluent`
+    when it finds two distinct ones, and a plain :class:`BudgetExhausted`,
+    naming the word it found, when it found one but stopped at the budget
+    before it could rule out a second.
     """
     ids = table.alphabet.ids(w)
     if not ids:
@@ -1013,21 +1103,32 @@ def unit_condition_failures(table: NormTable, max_len: int = 4) -> list[str]:
     letter x, and normalising a word padded with the unit on either side
     must equal the unit-prefixed normal form, for words up to ``max_len``.
 
-    On a table that passes :func:`condition_home` and whose 2g unit entries
-    hold, the padded words need no check, because ``normalize`` inserts
-    letters one at a time.  In 1 w, each letter swept left through N(w)
-    stops at the leading 1, since (1, x) is fixed, so N(1 w) = 1 N(w).  In
-    w 1, the inserted 1 moves left past every letter x != 1, since
-    (x, 1) -> (1, x), and stops at a 1; the units of the normal word N(w)
-    form a prefix, since (x, 1) is not fixed, so again N(w 1) = 1 N(w).
+    On a table whose 2g unit entries hold, the unit is the padding letter
+    (see :func:`_padding_letter`), and when the table is of class (4,3) or
+    (3,4) the padded words need no check, because ``normalize`` inserts
+    letters one at a time:
+
+    - class (4,3), right insertion: in 1 w, each letter swept left through
+      N(w) stops at the leading 1, since (1, x) is fixed, so
+      N(1 w) = 1 N(w).  In w 1, the inserted 1 moves left past every letter
+      x != 1, since (x, 1) -> (1, x), and stops at a 1; the units of the
+      normal word N(w) form a prefix, since (x, 1) is not fixed, so again
+      N(w 1) = 1 N(w).
+    - class (3,4), left insertion, which counts the padding letter: in 1 w,
+      the 1 is inserted last, straight into the count, so N(1 w) = 1 N(w).
+      In w 1, the 1 is inserted first, into the count, and every later
+      letter goes in front of the rest of the word, so N(w 1) = 1 N(w)
+      again.
+
     Every other table normalises each padded word of length up to
     ``max_len`` + 1.
     """
     if table.unit is None:
         raise MissingUnit("the table has no designated unit letter")
     u = table.unit.id
-    g = len(table.alphabet)
-    syms = table.alphabet.symbols
+    al = table.alphabet
+    g = len(al)
+    syms = al.symbols
     fails = []
     for x in range(g):
         want = (u, x)
@@ -1038,25 +1139,18 @@ def unit_condition_failures(table: NormTable, max_len: int = 4) -> list[str]:
                     f"entries({syms[key[0]]} {syms[key[1]]}) = "
                     f"({syms[got[0]]} {syms[got[1]]}), expected ({syms[u]} {syms[x]})"
                 )
-    if not fails and table._incremental():
+    if not fails and table._inserter() is not None:
         return fails
     for n in range(1, max_len + 1):
         for ids in itertools.product(range(g), repeat=n):
-            nf = _normalize_ids(table, ids)
-            want = (u,) + nf
-            left = _normalize_ids(table, (u,) + ids)
-            right = _normalize_ids(table, ids + (u,))
-            w = _word_from_ids(table.alphabet, ids)
-            if left != want:
-                fails.append(
-                    f"normalize(1 {w}) = {_word_from_ids(table.alphabet, left)}, "
-                    f"expected {_word_from_ids(table.alphabet, want)}"
-                )
-            if right != want:
-                fails.append(
-                    f"normalize({w} 1) = {_word_from_ids(table.alphabet, right)}, "
-                    f"expected {_word_from_ids(table.alphabet, want)}"
-                )
+            want = (u,) + _normalize_ids(table, ids)
+            for padded in ((u,) + ids, ids + (u,)):
+                got = _normalize_ids(table, padded)
+                if got != want:
+                    fails.append(
+                        f"normalize({_word_from_ids(al, padded)}) = "
+                        f"{_word_from_ids(al, got)}, expected {_word_from_ids(al, want)}"
+                    )
     return fails
 
 

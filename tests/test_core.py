@@ -407,6 +407,25 @@ def test_normalize_not_normalising_is_a_budget_error_only_when_cut_short():
     assert isinstance(cut.value, BudgetExhausted)
 
 
+def test_a_normal_word_found_by_a_search_cut_short_is_no_answer():
+    # a a a a sweeps to no normal word; the search finds a b c a first and
+    # a c a c only past 6 nodes, so a smaller budget must not pass a b c a
+    # off as the normal form, nor claim that no normal word was reached
+    al = Alphabet(("a", "b", "c"))
+    pairs = ((1, 2), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2), (2, 0), (2, 2), (0, 0))
+    t = NormTable._of_pairs(al, pairs)
+    w = al.word("a a a a")
+    for budget in (3, 6):
+        with pytest.raises(BudgetExhausted) as cut, node_budget(budget):
+            normalize(t, w)
+        assert type(cut.value) is BudgetExhausted
+        assert "'a b c a'" in str(cut.value)
+    for budget in (8, DEFAULT_NODE_BUDGET):
+        with pytest.raises(NotConfluent) as fork, node_budget(budget):
+            normalize(t, w)
+        assert {str(fork.value.first), str(fork.value.second)} == {"a b c a", "a c a c"}
+
+
 def test_normalize_sweeps_pick_one_branch_of_a_fork():
     # the sweep strategy converges here without seeing the second normal
     # form; the fork is verify_normalisation's to report
@@ -669,6 +688,15 @@ def test_unit_condition_bicyclic():
     assert check_unit_condition(bicyclic)
 
 
+def test_unit_condition_skips_padded_words_on_class_34_tables(monkeypatch):
+    # bicyclic's unit entries hold and it inserts on the left, counting the
+    # unit, so N(1 w) = N(w 1) = 1 N(w) holds without normalising a word
+    calls = []
+    monkeypatch.setattr(core, "_normalize_ids", lambda *args: calls.append(args))
+    fresh = NormTable(bicyclic.alphabet, bicyclic.rules(), unit=bicyclic.unit)
+    assert unit_condition_failures(fresh) == [] and calls == []
+
+
 def test_unit_condition_bs10():
     assert check_unit_condition(gallery("bs10").table)
 
@@ -678,6 +706,14 @@ def test_unit_condition_violation():
     t = NormTable(Alphabet(("1", "a")), [], unit="1")
     assert not check_unit_condition(t)
     assert unit_condition_failures(t)
+
+
+def test_unit_condition_failures_name_the_padded_word():
+    # the padded word is shown with the unit's own name, here e
+    t = NormTable(Alphabet(("e", "a")), [], unit="e")
+    fails = unit_condition_failures(t, max_len=1)
+    assert "normalize(a e) = a e, expected e a" in fails
+    assert all("1" not in f for f in fails)
 
 
 def test_unit_condition_requires_unit():

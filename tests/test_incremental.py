@@ -1,11 +1,11 @@
 """Letter insertion against repeated sweeps.
 
 ``normalize`` builds normal forms by inserting letters one at a time when
-the table satisfies ``condition_home`` (class (4,3)), and by repeated
-sweeps with an exhaustive fallback otherwise.  The sweep path is the
-oracle here: on every qualifying table the two must agree on every word of
-length <= 6.  Tables outside the condition must keep the sweep path and
-its errors.
+the table satisfies ``condition_home`` (class (4,3)), from the last letter
+to the first when it is of class (3,4) instead, and by repeated sweeps
+with an exhaustive fallback otherwise.  The sweep path is the oracle here:
+on every qualifying table the two must agree on every word of length <= 6.
+Tables outside both classes must keep the sweep path and its errors.
 """
 
 import itertools
@@ -22,12 +22,15 @@ from garnorm import (
     NotIdempotent,
     NotNormalising,
     breadth,
+    build_thurston,
+    condition_home,
     gallery,
+    node_budget,
     normalize,
     thurston_normalize,
 )
-from garnorm.core import _insert_ids, _sweep_normalize_ids
-from helpers import all_words, brute_normal_forms
+from garnorm.core import _insert_ids, _insert_left_ids, _sweep_normalize_ids, _word_from_ids
+from helpers import all_words, brute_normal_forms, sweep_thurston
 from test_core import cycling_fork_table, fork_table, swap_table
 
 HOME_GALLERY = ("bs10", "bs32", "plactic2", "malcev", "braid3", "finite:Z/2", "finite:Z/3")
@@ -56,6 +59,23 @@ def random_idempotent_table(rng: random.Random, g: int) -> NormTable:
     return NormTable(Alphabet(names), rules)
 
 
+def random_padded_table(rng: random.Random, g: int) -> NormTable:
+    """Letter 1 gets the padding entries, (x, 1) -> (1, x) with (1, x)
+    fixed.  Each other pair is fixed with a probability drawn per table and
+    otherwise maps to a fixed pair, so the table is idempotent."""
+    names = "1abc"[:g]
+    pairs = [(a, b) for a in range(1, g) for b in range(1, g)]
+    p_fixed = rng.choice((0.5, 0.7))
+    fixed = [p for p in pairs if rng.random() < p_fixed] or [pairs[0]]
+    targets = fixed + [(0, x) for x in range(g)]
+    rules = [((names[x], "1"), ("1", names[x])) for x in range(1, g)]
+    for a, b in pairs:
+        if (a, b) not in fixed:
+            c, d = rng.choice(targets)
+            rules.append(((names[a], names[b]), (names[c], names[d])))
+    return NormTable(Alphabet(names), rules, unit="1")
+
+
 @pytest.mark.parametrize("name", HOME_GALLERY)
 def test_insertion_matches_sweeps_on_home_gallery_tables(name):
     table = gallery(name).table
@@ -77,6 +97,59 @@ def test_insertion_matches_sweeps_on_random_home_tables():
     assert kept == {2: 13, 3: 34, 4: 14}
 
 
+def class_34_tables():
+    """The tables of class (3,4) but not (4,3) among seeded random tables
+    on 3 and 4 letters, with and without a padding letter."""
+    for g in (3, 4):
+        for seed in range(500):
+            for make in (random_padded_table, random_idempotent_table):
+                table = make(random.Random(1000 * g + seed), g)
+                if table._inserter() is _insert_left_ids:
+                    yield table
+
+
+def test_left_insertion_matches_sweeps_on_class_34_tables(record_testsuite_property):
+    """On every word of up to 6 letters, and 20 drawn words of up to 64,
+    left insertion gives what the uncapped sweeps of ``helpers.sweep_thurston``
+    give, which is a normal word, and ``normalize`` and
+    ``thurston_normalize`` give it too.  The tables with and without a
+    padding letter are counted; each count is recorded as a suite property
+    and must be positive."""
+    kinds = {"with_padding": 0, "without_padding": 0}
+    rng = random.Random(34)
+    for table in class_34_tables():
+        g, pairs, pad, al = len(table.alphabet), table._pairs, table._pad, table.alphabet
+        assert not condition_home(table)
+        kinds["with_padding" if pad >= 0 else "without_padding"] += 1
+        th = build_thurston(table)
+        for n in range(1, 7):
+            for ids in itertools.product(range(g), repeat=n):
+                want = sweep_thurston(th, _word_from_ids(al, ids))
+                assert _insert_left_ids(pairs, g, ids, pad) == want.ids(), ids
+        for _ in range(20):
+            w = _word_from_ids(al, [rng.randrange(g) for _ in range(rng.randint(1, 64))])
+            want = sweep_thurston(th, w)
+            assert normalize(table, w) == thurston_normalize(th, w) == want, w
+    for key, count in kinds.items():
+        record_testsuite_property(key, count)
+        assert count > 0, key
+
+
+def test_bicyclic_inserts_on_the_left():
+    """bicyclic has breadth (3, 4): it fails condition_home and inserts
+    from the last letter to the first, which needs no node budget, and
+    agrees with the sweeps on every word of up to 8 letters."""
+    bicyclic = gallery("bicyclic").table
+    assert not condition_home(bicyclic)
+    assert bicyclic._inserter() is _insert_left_ids
+    with node_budget(1):
+        assert str(normalize(bicyclic, bicyclic.alphabet.word("a a b"))) == "1 1 a"
+    th = build_thurston(bicyclic)
+    for w in all_words(bicyclic.alphabet, 8):
+        want = sweep_thurston(th, w)
+        assert normalize(bicyclic, w) == thurston_normalize(th, w) == want, w
+
+
 def test_gate_is_lazy_and_outside_equality():
     source = gallery("malcev").table
     copy = NormTable(
@@ -96,7 +169,7 @@ def test_gate_false_outside_the_condition():
     bicyclic = gallery("bicyclic").table
     assert breadth(bicyclic).p == 4
     assert not bicyclic._incremental()
-    # bicyclic keeps the sweep path, which reaches the unique normal form
+    # bicyclic inserts on the left, which reaches the unique normal form
     for w in all_words(bicyclic.alphabet, 5):
         assert {normalize(bicyclic, w)} == brute_normal_forms(bicyclic, w)
 

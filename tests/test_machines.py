@@ -125,6 +125,8 @@ def test_dual_is_an_involution():
     machines = [div3, mul2] + [build_mealy(e.table) for e in gallery_tables()]
     for m in machines:
         assert dual(dual(m)) == m
+        # the dual is built once and knows its own dual
+        assert dual(m) is dual(m) and dual(dual(m)) is m
 
 
 def test_dual_of_mealy_is_thurston():
@@ -489,7 +491,9 @@ def test_thurston_requires_square_machine():
 
 def test_a_table_and_its_sweepers_compute_breadth_once(monkeypatch):
     # build_thurston keeps its table, so the table and every sweeping
-    # transducer built from it share one home verdict and padding letter
+    # transducer built from it share one home verdict and padding letter;
+    # build_mealy is the dual of such a transducer and the gate of growth
+    # reads its dual, so its machines share them too
     calls = []
     real = core.breadth
 
@@ -503,7 +507,15 @@ def test_a_table_and_its_sweepers_compute_breadth_once(monkeypatch):
     w = fresh.alphabet.word(" ".join(fresh.alphabet.names() * 3))
     want = normalize(fresh, w)
     assert [thurston_normalize(build_thurston(fresh), w) for _ in range(2)] == [want, want]
+    assert [growth(build_mealy(fresh), 3) for _ in range(2)] == [[6, 19, 48]] * 2
     assert calls == [fresh]
+
+
+def test_bicyclic_growth_is_refined_not_counted():
+    # bicyclic is of class (3,4), not home: its Mealy machine fails the gate
+    # of growth, whose classes outnumber its 3, 6, 10, ... normal words
+    bicyclic = gallery("bicyclic").table
+    assert growth(build_mealy(bicyclic), 5) == [3, 7, 14, 25, 42]
 
 
 def test_thurston_matches_normalize_to_length_four():
