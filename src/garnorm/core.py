@@ -41,10 +41,10 @@ indexed ``a * g + b`` for the pair (a, b) over g letters.
 All values are immutable after construction and all operations are pure
 functions of their inputs and of the calling thread's node budget (see
 :func:`node_budget`), so concurrent read-only use is safe.  Two values are
-computed on first use and written once: whether a table satisfies
-``condition_home`` (with its padding letter and insertion kernel), and the
-letters of a word built from ids.  Concurrent first uses compute equal
-values, so the unlocked writes are harmless.
+computed on first use and written once: a table's insertion kernel, its
+one verdict, with its padding letter, and the letters of a word built from
+ids.  Concurrent first uses compute equal values, so the unlocked writes
+are harmless.
 """
 
 from __future__ import annotations
@@ -385,7 +385,7 @@ class NormTable:
     and a total map on ordered pairs of letters (unlisted pairs are fixed).
     """
 
-    __slots__ = ("alphabet", "unit", "_pairs", "_home", "_pad", "_insert")
+    __slots__ = ("alphabet", "unit", "_pairs", "_pad", "_insert")
 
     def __init__(
         self,
@@ -405,9 +405,8 @@ class NormTable:
             pairs[alphabet[a].id * g + alphabet[b].id] = (alphabet[c].id, alphabet[d].id)
         # image of the pair (a, b) at index a * g + b
         self._pairs: tuple[tuple[int, int], ...] = tuple(pairs)
-        self._home: bool | None = None  # see _incremental
-        self._pad = -1  # see _incremental
-        self._insert = None  # see _incremental
+        self._pad: int | None = None  # see _inserter
+        self._insert = None  # see _inserter
 
     @classmethod
     def _of_pairs(cls, alphabet: Alphabet, pairs) -> "NormTable":
@@ -415,7 +414,7 @@ class NormTable:
         total."""
         t = cls.__new__(cls)
         t.alphabet, t.unit, t._pairs = alphabet, None, pairs
-        t._home, t._pad, t._insert = None, -1, None
+        t._pad, t._insert = None, None
         return t
 
     def _index(self, a: Symbol | str, b: Symbol | str) -> int:
@@ -483,34 +482,28 @@ class NormTable:
 
     def _incremental(self) -> bool:
         """Whether the table is home: idempotent and satisfying
-        :func:`condition_home`, so of class (4,3).  The one run of
-        :func:`breadth` behind the verdict also decides class (3,4): finite
-        breadth with d <= 3 and p <= 4.  Computed on first use and cached,
-        after ``_pad``, the padding letter that insertion counts instead of
-        carrying, and ``_insert``, the insertion kernel of the table's class
-        (see :meth:`_inserter`)."""
-        if self._home is None:
-            home, insert = False, None
+        :func:`condition_home`, so of class (4,3), which is when it inserts
+        on the right."""
+        return self._inserter() is _insert_ids
+
+    def _inserter(self):
+        """The table's one verdict, the insertion kernel exact on it, or
+        None: right insertion (:func:`_insert_ids`) on class (4,3), tables
+        of both classes included, and left insertion (:func:`_insert_left_ids`)
+        on the other tables of class (3,4), finite breadth with d <= 3 and
+        p <= 4.  Both take the pairs, the letter count, the word's ids and
+        ``_pad``, the padding letter, which is None until the first call
+        runs :func:`breadth` and caches the kernel in ``_insert``."""
+        if self._pad is None:
+            insert = None
             if not self.idempotence_failures():
                 b = breadth(self)
-                home = not home_failures(b)
-                if home:
+                if not home_failures(b):
                     insert = _insert_ids
                 elif b.finite and b.d <= 3 and b.p <= 4:
                     insert = _insert_left_ids
-            self._pad = _padding_letter(self._pairs, len(self.alphabet))
             self._insert = insert
-            self._home = home
-        return self._home
-
-    def _inserter(self):
-        """The insertion kernel exact on the table, or None: right insertion
-        (:func:`_insert_ids`) on class (4,3), tables of both classes
-        included, and left insertion (:func:`_insert_left_ids`) on the other
-        tables of class (3,4).  Both take the pairs, the letter count, the
-        word's ids and ``_pad``."""
-        if self._home is None:
-            self._incremental()
+            self._pad = _padding_letter(self._pairs, len(self.alphabet))
         return self._insert
 
     def __repr__(self) -> str:
@@ -817,7 +810,8 @@ def normalize(table: NormTable, w: Word) -> Word:
 class NormalisationReport:
     """Witness lists from :func:`verify_normalisation`; empty means the
     table behaved as a normalisation restriction at the checked scale, and
-    at every length when the table passes :func:`condition_home`."""
+    at every length when the table has an insertion kernel (class (4,3) or
+    (3,4), see :meth:`NormTable._inserter`)."""
 
     max_len: int
     idempotence_failures: list = field(default_factory=list)
@@ -923,9 +917,10 @@ def verify_normalisation(table: NormTable, max_len: int = 5) -> NormalisationRep
     inside w, so when uwv reaches exactly one normal word, u N(w) v reaches
     that same word.  ``axiom_failures`` is therefore always empty.
 
-    An idempotent table that passes :func:`condition_home` gets the empty
-    report without a search, and the report holds at every length, not
-    only up to ``max_len``:
+    A table with an insertion kernel, of class (4,3) or (3,4), gets the
+    empty report without a search, and the report holds at every length,
+    not only up to ``max_len``.  For class (4,3), the idempotent tables
+    that pass :func:`condition_home`:
 
     - By Dehornoy and Guiraud ("Quadratic normalisation in monoids", IJAC
       2016), an idempotent table F with F_2121 = F_121 on every
@@ -945,18 +940,24 @@ def verify_normalisation(table: NormTable, max_len: int = 5) -> NormalisationRep
       is reachable from w.
     - Therefore every word of every length reaches exactly one normal word.
 
-    Every other table is searched backwards from the normal words of each
-    length, which are built from those one letter shorter by appending each
-    letter that forms a fixed pair with the last one.  Each word searched
-    costs one node of the :func:`node_budget`; :class:`BudgetExhausted` is
-    raised before the search when the words of length 2..max_len outnumber
-    it.
+    A table of class (3,4) has a mirror of class (4,3): the table sending
+    (a, b) to the reverse of the image of (b, a), which exchanges the
+    breadth coordinates d and p.  It rewrites the reverse of u to that of v
+    when the table rewrites u to v, so reachability and normal words carry
+    over, and every word reaches exactly one normal word here too.
+
+    Every other table, outside both classes, is searched backwards from the
+    normal words of each length, which are built from those one letter
+    shorter by appending each letter that forms a fixed pair with the last
+    one.  Each word searched costs one node of the :func:`node_budget`;
+    :class:`BudgetExhausted` is raised before the search when the words of
+    length 2..max_len outnumber it.
     """
     if max_len < 3:
         raise GarnormError("max_len must be at least 3")
     report = NormalisationReport(max_len=max_len)
     report.idempotence_failures = table.idempotence_failures()
-    if table._incremental():
+    if table._inserter() is not None:
         return report
 
     report.not_confluent, report.not_normalising = _rewrite_analysis(table, max_len)
@@ -995,7 +996,6 @@ class Breadth:
     p: int | _UnboundedType
     d_witness: Word
     p_witness: Word
-    warning: str | None = None
 
     def as_pair(self) -> tuple:
         return (self.d, self.p)
@@ -1035,6 +1035,11 @@ def breadth(table: NormTable) -> Breadth:
     and UNBOUNDED otherwise (decided exactly, see :func:`_alternating_walk`),
     with the offending triple as witness.  Once d is UNBOUNDED its walks
     stop; the 1,2,1,... walks go on while d needs their targets.
+
+    When both coordinates are finite, every walk reaches its target, and
+    |d - p| <= 1: after its first step, a walk of n steps goes on as the
+    other walk from the word it reached, towards the same target, in n - 1
+    steps.
     """
     table.require_idempotent()
     g = len(table.alphabet)
@@ -1062,15 +1067,11 @@ def breadth(table: NormTable) -> Breadth:
             break
 
     (p_val, d_val), (p_wit, d_wit) = value, witness
-    warning = None
-    if isinstance(d_val, int) and isinstance(p_val, int) and abs(d_val - p_val) > 1:
-        warning = f"|d - p| = {abs(d_val - p_val)} > 1; genuine normalisations satisfy |d - p| <= 1"
     return Breadth(
         d=d_val,
         p=p_val,
         d_witness=_word_from_ids(table.alphabet, d_wit),
         p_witness=_word_from_ids(table.alphabet, p_wit),
-        warning=warning,
     )
 
 

@@ -37,7 +37,7 @@ states are its letters keeps the table of its own pairs in ``_table``, set
 when the machine is built (``build_thurston`` keeps the table it was
 given); the gates of :func:`thurston_normalize` and :func:`growth` read
 the table's verdict and padding letter off that table, which computes
-them once (``NormTable._incremental``).  Every other memo table is
+them once (``NormTable._inserter``).  Every other memo table is
 per-call except three, each computed on first use and kept on the
 machine: the dual machine (see :func:`dual`), the representative of each
 action class of length-2 state words (see :func:`_pair_reps`) and the

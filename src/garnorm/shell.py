@@ -476,8 +476,6 @@ def _cmd_breadth(args) -> int:
         "d_witness": str(b.d_witness),
         "p_witness": str(b.p_witness),
     }
-    if b.warning:
-        tree["warning"] = b.warning
     _print_report(args, tree)
     return 0
 

@@ -93,11 +93,19 @@ def _breadth_of(table: NormTable, lengths) -> Breadth:
                 value[k], witness[k] = UNBOUNDED, triple
             elif c > value[k]:
                 value[k], witness[k] = c, triple
-    d, p = value
-    warning = None
-    if d is not UNBOUNDED and p is not UNBOUNDED and abs(d - p) > 1:
-        warning = f"|d - p| = {abs(d - p)} > 1; genuine normalisations satisfy |d - p| <= 1"
-    return Breadth(d, p, witness[0], witness[1], warning)
+    return Breadth(value[0], value[1], witness[0], witness[1])
+
+
+def mirror(table: NormTable) -> NormTable:
+    """The mirror image of a table, without a unit: it sends (a, b) to the
+    reverse of the image of (b, a), so it rewrites the reverse of a word
+    as the table rewrites the word."""
+    syms = table.alphabet.symbols
+    rules = []
+    for a, b in itertools.product(syms, repeat=2):
+        c, d = table.entry(b, a)
+        rules.append(((a, b), (d, c)))
+    return NormTable(table.alphabet, rules)
 
 
 def sweep_target_breadth(table: NormTable) -> Breadth:

@@ -1,11 +1,12 @@
-"""The class (4,3) certificate and the dense backward search.
+"""The class (4,3) and (3,4) certificates and the dense backward search.
 
 ``verify_normalisation`` returns the empty report without a search on
-idempotent tables that pass ``condition_home``, and runs the backward
-search ``_rewrite_analysis`` on integer word codes for every other table.
-The search must find nothing on the certified tables, and it must equal
-the dict-based search it replaced, kept in ``helpers`` as the oracle,
-witnesses and order included.  On the same random tables, ``normalize``
+tables with an insertion kernel: the idempotent tables that pass
+``condition_home``, and those of class (3,4), whose mirror passes it.  It
+runs the backward search ``_rewrite_analysis`` on integer word codes for
+every other table.  The search must find nothing on the certified tables,
+and it must equal the dict-based search it replaced, kept in ``helpers``
+as the oracle, witnesses and order included.  On the same random tables, ``normalize``
 must agree with the exhaustive closure ``helpers.brute_normal_forms``.
 """
 
@@ -20,14 +21,17 @@ from garnorm import (
     NormTable,
     NotConfluent,
     NotNormalising,
+    gallery,
     gallery_tables,
     normalize,
     verify_normalisation,
 )
+from garnorm import core
 from garnorm.core import NormalisationReport, _rewrite_analysis, _word_from_ids
 from helpers import brute_normal_forms, dict_rewrite_analysis
-from test_incremental import random_idempotent_table
-from test_verify import random_free_table
+from garnorm.shell import parse_table
+from test_incremental import class_34_tables, random_idempotent_table
+from test_verify import SEARCHED_TABLE, random_free_table
 
 #: Gallery tables searched to length 5 instead of 6: 8 and 9 letters.
 LARGE = ("bs32", "malcev")
@@ -51,6 +55,29 @@ def test_backward_search_finds_nothing_on_random_home_tables():
     assert len({len(t.alphabet) for t in home}) == 3
     for table in home:
         assert _rewrite_analysis(table, 5) == ([], [])
+
+
+def test_backward_search_finds_nothing_on_class_34_tables():
+    """The class (3,4) certificate against the search it skips: the seeded
+    class (3,4) tables of ``test_incremental`` to length 5, bicyclic to 9."""
+    tables = [(t, 5) for t in class_34_tables()] + [(gallery("bicyclic").table, 9)]
+    assert len(tables) > 50
+    for table, max_len in tables:
+        assert verify_normalisation(table, max_len) == NormalisationReport(max_len=max_len)
+        assert _rewrite_analysis(table, max_len) == ([], [])
+
+
+def test_class_34_tables_are_never_searched(monkeypatch):
+    calls = []
+    real = core._rewrite_analysis
+    monkeypatch.setattr(core, "_rewrite_analysis", lambda t, n: calls.append(t) or real(t, n))
+    for table in [gallery("bicyclic").table, *class_34_tables()]:
+        assert verify_normalisation(table, 5).ok
+    assert calls == []
+    # a table outside both classes is searched through the same name
+    searched = parse_table(SEARCHED_TABLE)
+    assert verify_normalisation(searched, 5).ok
+    assert calls == [searched]
 
 
 def dict_oracle_words(table: NormTable, max_len: int):

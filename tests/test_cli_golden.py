@@ -42,6 +42,8 @@ FILES = {
     "nonormal.table": "alphabet a b\nrule a a -> b a\nrule a b -> b a\nrule b b -> b a\n",
     "nounit.pres": "atoms a b\nrel a b = a\nfamily a = a\nfamily b = b\n",
     "junk.txt": "what even is this\n",
+    "swapunit.table": "alphabet 1 a b\nunit 1\nrule a 1 -> 1 a\nrule b 1 -> 1 b\n"
+    "rule a b -> b a\nrule b a -> a b\n",
 }
 
 # every subcommand on gallery inputs; each runs in text and in --json
@@ -123,6 +125,8 @@ OTHER_CASES = [
     (["greedy", "{dir}/nounit.pres"], None),
     (["breadth", "{dir}/junk.txt"], None),
     (["breadth", "{dir}/missing.table"], None),
+    (["check", "{dir}/swapunit.table"], None),
+    (["check", "{dir}/swapunit.table", "--json"], None),
 ]
 
 # one malformed text per ParseError the three parsers can raise

@@ -38,7 +38,7 @@ from garnorm import (
     verify_normalisation,
 )
 from garnorm import core
-from garnorm.core import DEFAULT_NODE_BUDGET, _word_from_ids
+from garnorm.core import DEFAULT_NODE_BUDGET, _insert_left_ids, _word_from_ids
 from helpers import (
     TupleWord,
     all_words,
@@ -46,6 +46,7 @@ from helpers import (
     brute_is_normal,
     brute_normal_forms,
     bulk_longest_derivations,
+    mirror,
     sweep_target_breadth,
     walk_rule_breadth,
 )
@@ -607,7 +608,7 @@ def test_breadth_equals_alternating_oracle(record_testsuite_property):
 
 def test_breadth_equals_sweep_target_oracle(record_testsuite_property):
     """Where the sweep-target oracle returns, breadth equals it, witnesses
-    and warning included.  Where it raises (a triple with no reachable
+    included.  Where it raises (a triple with no reachable
     normal word, or two), breadth follows the walk rule: the target is the
     normal word of the p walk, else of the d walk.  walk_rule_breadth checks
     that rule on every example.  The number of examples on each side is
@@ -634,6 +635,65 @@ def test_breadth_equals_sweep_target_oracle(record_testsuite_property):
         record_testsuite_property(f"oracle_{side}", n)
 
 
+def test_mirror_exchanges_breadth_and_classes(record_testsuite_property):
+    """The mirror of a table (``helpers.mirror``) exchanges the two walks of
+    each reversed triple.  So a table has finite breadth iff its mirror
+    does, the mirror's breadth is then (p, d), and the table is of class
+    (3,4) iff its mirror is home: it inserts on the left iff its mirror is
+    home and it is not.  With one coordinate unbounded the exchange can
+    fail, as a triple's target is the normal word of its 1,2,1,... walk
+    first: ``stuck_table`` and its mirror both have breadth (Unbounded, 2).
+    Each drawn table and its mirror are checked, so that mirrors of home
+    tables make left-inserting ones common.  The finite and the
+    left-inserting tables are counted; each count is recorded as a suite
+    property and must be positive."""
+    seen = {"finite": 0, "inserts_left": 0}
+    assert breadth(stuck_table()).as_pair() == (UNBOUNDED, 2)
+    assert breadth(mirror(stuck_table())).as_pair() == (UNBOUNDED, 2)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(idempotent_pair_maps())
+    def check(drawn):
+        assert mirror(mirror(drawn)).rules() == drawn.rules()
+        for table in (drawn, mirror(drawn)):
+            b, m = breadth(table), mirror(table)
+            mb = breadth(m)
+            assert mb.finite == b.finite
+            if b.finite:
+                assert mb.as_pair() == (b.p, b.d)
+                seen["finite"] += 1
+            assert condition_home(m) == (b.finite and b.d <= 3 and b.p <= 4)
+            inserts_left = table._inserter() is _insert_left_ids
+            assert inserts_left == (m._incremental() and not table._incremental())
+            seen["inserts_left"] += inserts_left
+
+    check()
+    for key, count in seen.items():
+        record_testsuite_property(key, count)
+        assert count > 0, key
+
+
+def test_finite_breadth_coordinates_differ_by_at_most_one(record_testsuite_property):
+    """After its first step each walk goes on as the other walk from the
+    word it reached, towards the same target, so |d - p| <= 1 whenever both
+    are finite.  Both gaps, 0 and 1, must occur; their counts are recorded
+    as the suite properties ``gap_0`` and ``gap_1``."""
+    gaps = {0: 0, 1: 0}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(idempotent_pair_maps())
+    def check(table):
+        b = breadth(table)
+        if b.finite:
+            assert abs(b.d - b.p) <= 1
+            gaps[abs(b.d - b.p)] += 1
+
+    check()
+    for gap, count in gaps.items():
+        record_testsuite_property(f"gap_{gap}", count)
+        assert count > 0, gap
+
+
 def test_gallery_breadth_gap_within_one():
     for entry in (
         gallery("bicyclic"),
@@ -647,7 +707,6 @@ def test_gallery_breadth_gap_within_one():
     ):
         b = breadth(entry.table)
         assert b.finite and abs(b.d - b.p) <= 1
-        assert b.warning is None
 
 
 def test_condition_home():

@@ -157,11 +157,11 @@ def test_gate_is_lazy_and_outside_equality():
         [((a.name, b.name), (c.name, d.name)) for (a, b), (c, d) in source.rules()],
         unit=source.unit.name,
     )
-    assert copy._home is None
+    assert copy._pad is None
     normalize(copy, copy.alphabet.word("a b"))
-    assert copy._home is True
+    assert copy._insert is _insert_ids and copy._pad == copy.unit.id
     fresh = NormTable(copy.alphabet, copy.rules(), unit=copy.unit)
-    assert fresh._home is None
+    assert fresh._pad is None
     assert copy == fresh and hash(copy) == hash(fresh)
 
 

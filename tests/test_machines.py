@@ -78,6 +78,15 @@ def test_machine_validates_tables():
         MealyMachine(states, alphabet, [[0, 0]], [[0, 2]])  # output out of range
 
 
+def test_machine_rejects_a_wrong_row_count():
+    states = Alphabet(("s", "t"))
+    alphabet = Alphabet(("x",))
+    with pytest.raises(GarnormError, match="one row per state"):
+        MealyMachine(states, alphabet, [[0]], [[0], [0]])
+    with pytest.raises(GarnormError, match="one row per state"):
+        MealyMachine(states, alphabet, [[0], [1]], [[0], [0], [0]])
+
+
 def test_build_mealy_bicyclic_pinned_transition():
     m = build_mealy(bicyclic)
     assert m.output("b", "a").name == "1"
@@ -195,6 +204,17 @@ def test_run_word_identity_states():
 def test_run_word_rejects_empty_state_word():
     with pytest.raises(GarnormError):
         run_word(div3, Word(), div3.alphabet.word("0"))
+
+
+def test_distinguishing_word_rejects_an_empty_state_word():
+    for u, v in ((Word(), div3.states.word("0")), (div3.states.word("1"), Word())):
+        with pytest.raises(GarnormError, match="state words must be non-empty"):
+            distinguishing_word(div3, u, v)
+
+
+def test_tuple_action_classes_rejects_length_zero():
+    with pytest.raises(GarnormError, match="length must be at least 1"):
+        tuple_action_classes(div3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +507,12 @@ def test_thurston_bicyclic():
 def test_thurston_requires_square_machine():
     with pytest.raises(GarnormError):
         thurston_normalize(div3, div3.alphabet.word("0"))
+
+
+def test_thurston_rejects_the_empty_word():
+    th = build_thurston(bicyclic)
+    with pytest.raises(GarnormError, match="cannot normalise the empty word"):
+        thurston_normalize(th, Word())
 
 
 def test_a_table_and_its_sweepers_compute_breadth_once(monkeypatch):

@@ -145,10 +145,10 @@ def test_the_padding_letter_comes_from_the_pairs():
     bs10 = gallery("bs10").table
     th = build_thurston(bs10)
     copy = MealyMachine(th.states, th.alphabet, *transition_tables(th))
-    assert copy._table._pad == -1
+    assert copy._table._pad is None
     w = bs10.alphabet.word("a a a a a b a b b 1 a")
     assert thurston_normalize(copy, w) == normalize(bs10, w)
-    assert copy._table._home and copy._table._pad == bs10.alphabet["1"].id
+    assert copy._table._insert is _insert_ids and copy._table._pad == bs10.alphabet["1"].id
     bare = NormTable._of_pairs(bs10.alphabet, bs10._pairs)
     assert bare.unit is None and bare._incremental() and bare._pad == 0
     # the identity table on two letters has no padding letter; sending

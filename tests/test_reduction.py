@@ -34,7 +34,7 @@ from garnorm import (
     thurston_normalize,
     tuple_action_classes,
 )
-from garnorm.core import NormTable, _word_from_ids, condition_home
+from garnorm.core import NormTable, _insert_ids, _word_from_ids, condition_home
 from garnorm.machines import _fixed_pairs
 from garnorm.shell import emit_machine, parse_machine
 from helpers import (
@@ -346,6 +346,6 @@ def test_threads_racing_on_first_use_all_get_the_oracle_answers():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert results == [want] * len(results)
-    assert m._reps is not None and m._fixed and sweeper._table._home
+    assert m._reps is not None and m._fixed and sweeper._table._insert is _insert_ids
     # the letters slot is filled: reading it through its descriptor computes nothing
     assert all(Word.letters.__get__(w) == letters for w, letters in zip(fresh, want[3]))

@@ -20,6 +20,7 @@ from garnorm.shell import (
 from test_certificate import pair_maps
 from test_core import cycling_fork_table
 from test_greedy import presentations_with_families
+from test_verify import SEARCHED_TABLE
 
 BS10_PRESENTATION = """\
 # the right-cancellative monoid with one absorbing relation
@@ -502,11 +503,30 @@ def test_cli_budget_exhaustion_exit_3(tmp_path, capsys, monkeypatch):
     assert "budget" in err
 
 
-def test_cli_check_refuses_a_search_over_the_budget(capsys, monkeypatch):
+def test_cli_check_refuses_a_search_over_the_budget(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "searched.table"
+    path.write_text(SEARCHED_TABLE)
+    assert run_cli(capsys, "check", str(path), "--max-len", "9")[0] == 0
     monkeypatch.setenv("GARNORM_BUDGET", "10")
-    code, out, err = run_cli(capsys, "check", "gallery:bicyclic", "--max-len", "14")
+    code, out, err = run_cli(capsys, "check", str(path), "--max-len", "14")
     assert (code, out) == (3, "")
     assert "exceed the node budget of 10" in err
+
+
+def test_a_machine_file_without_a_directive_is_refused(tmp_path, capsys):
+    path = tmp_path / "empty.machine"
+    path.write_text("# no directive\n\n")
+    code, out, err = run_cli(capsys, "dual", str(path))
+    assert (code, out) == (2, "")
+    assert "is neither a table nor a machine file" in err
+
+
+def test_cli_check_certifies_a_class_34_table_under_any_budget(capsys, monkeypatch):
+    # bicyclic (breadth 3, 4) is certified by its mirror, so no search runs
+    monkeypatch.setenv("GARNORM_BUDGET", "10")
+    code, out, err = run_cli(capsys, "check", "gallery:bicyclic", "--max-len", "14")
+    assert (code, err) == (0, "")
+    assert "ok = true" in out.splitlines()
 
 
 def test_cli_budget_env_reaches_gallery_presentations(capsys, monkeypatch):

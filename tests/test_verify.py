@@ -2,8 +2,8 @@
 
 ``verify_normalisation`` searches backwards from the normal words only and
 runs no N(u N(w) v) = N(uwv) pass, which unique normal forms imply;
-``unit_condition_failures`` skips the padded-word loop on class (4,3)
-tables whose unit entries hold, where letter insertion implies it.  The
+``unit_condition_failures`` skips the padded-word loop on class (4,3) and
+(3,4) tables whose unit entries hold, where letter insertion implies it.  The
 oracles are the brute-force closure of ``helpers``, the N(u N(w) v) walk
 and the full padded-word loop, both as they used to run in the library.
 """
@@ -19,6 +19,7 @@ from garnorm import (
     GarnormError,
     NormTable,
     Word,
+    breadth,
     gallery,
     gallery_tables,
     node_budget,
@@ -26,6 +27,7 @@ from garnorm import (
     unit_condition_failures,
     verify_normalisation,
 )
+from garnorm.shell import parse_table
 from helpers import all_words, brute_normal_forms
 from test_core import cycling_fork_table, fork_table, swap_table
 from test_incremental import random_idempotent_table
@@ -103,18 +105,34 @@ def test_inner_factor_walk_finds_nothing_on_gallery_tables(entry):
     assert verify_normalisation(entry.table, 4).axiom_failures == []
 
 
+#: A table outside both insertion classes: breadth (5, 4), so it is
+#: neither home (d <= 4, p <= 3) nor of class (3,4) (d <= 3, p <= 4), and
+#: ``verify_normalisation`` searches it.  Every word reaches one normal word.
+SEARCHED_TABLE = """\
+alphabet 1 a b
+unit 1
+rule a 1 -> 1 a
+rule b 1 -> 1 b
+rule b a -> a b
+rule b b -> 1 1
+"""
+
+
 def test_backward_search_is_refused_when_its_words_outnumber_the_budget():
-    # bicyclic is searched: 9 + 27 + 81 = 117 words of length 2-4 on its 3
+    # the searched table has 9 + 27 + 81 = 117 words of length 2-4 on its 3
     # letters, one node each
-    bicyclic = gallery("bicyclic").table
+    table = parse_table(SEARCHED_TABLE)
+    assert breadth(table).as_pair() == (5, 4) and table._inserter() is None
     with node_budget(117):
-        assert verify_normalisation(bicyclic, 4).ok
+        assert verify_normalisation(table, 4).ok
     for max_len, budget in ((4, 116), (5, 116), (10**6, 1)):
         with node_budget(budget), pytest.raises(BudgetExhausted, match=f"budget of {budget}$"):
-            verify_normalisation(bicyclic, max_len)
-    # malcev's report needs no search, so no budget refuses it
+            verify_normalisation(table, max_len)
+    # the reports of malcev (class (4,3)) and bicyclic (class (3,4)) need no
+    # search, so no budget refuses them
     with node_budget(1):
         assert verify_normalisation(gallery("malcev").table, 40).ok
+        assert verify_normalisation(gallery("bicyclic").table, 40).ok
 
 
 def unit_loop_failures(table: NormTable, max_len: int) -> list[str]:
