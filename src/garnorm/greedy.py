@@ -14,11 +14,10 @@ Length-changing relations are explored up to ``LENGTH_SLACK`` letters past
 the longer word, and exhausting the :func:`~garnorm.core.node_budget`
 raises an error rather than guessing.
 
-The greedy table works out one entry per class of products rather than
-one per pair: every pair whose product words are equal shares its
-candidates, its maximal right parts and the left parts of the chosen one.
-The search keeps its divisibility verdicts as long as its closures, so
-repeated closure checks on one presentation ask each question once.
+The search stores each class it finds under every one of its words, so
+the greedy table groups its products by class in one pass and works out
+one entry per class.  It keeps its divisibility verdicts as long as its
+classes, so repeated closure checks ask each question once.
 """
 
 from __future__ import annotations
@@ -61,6 +60,11 @@ class PresentedMonoid:
                 raise GarnormError("relation sides must be non-empty")
             resolved.append((word(lhs), word(rhs)))
         object.__setattr__(self, "relations", tuple(resolved))
+        # every call looks up its search by presentation: hash it once
+        object.__setattr__(self, "_hash", hash((self.atoms, self.relations)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,15 @@ class _Search:
     """Equivalence-closure engine for one presentation and node budget.
 
     ``class_of(word, window)`` is the set of words of length <= window
-    reachable by relation replacements; it is the equivalence class cut to
-    the window whenever no connecting path needs longer intermediates.
-    Closures and both divisibility verdicts, two-sided and right, are
-    memoised for the life of the search; a question stopped by
-    :class:`BudgetExhausted` is never stored.
+    reachable from ``word`` by relation replacements; it is the equivalence
+    class cut to the window whenever no connecting path needs longer
+    intermediates.  Every word asked lies within its window and every
+    relation applies both ways, so each step can be undone in the window:
+    the classes of a window partition its words.  So one memo,
+    ``{window: {word: class}}``, stores each class under all its words.  A
+    class over the budget raises from each of its words and is stored for
+    none, so the memo changes no answer or error.  Both divisibility
+    verdicts, two-sided and right, are memoised for the life of the search.
     """
 
     def __init__(self, monoid: PresentedMonoid, budget: int):
@@ -117,13 +125,16 @@ class _Search:
             lhs, rhs = monoid.atoms.ids(lhs), monoid.atoms.ids(rhs)
             rules += [(lhs, rhs), (rhs, lhs)]
         self._rules = rules
-        self._classes: dict = {}
+        self._classes: dict = {}  # window -> {word: its class}
         self._divides: dict = {}
         self._right_divides: dict = {}
 
     def class_of(self, word: tuple[int, ...], window: int) -> frozenset:
-        key = (word, window)
-        cached = self._classes.get(key)
+        """The class of ``word``, which must lie within ``window``."""
+        known = self._classes.get(window)
+        if known is None:
+            known = self._classes[window] = {}
+        cached = known.get(word)
         if cached is not None:
             return cached
         budget = self.budget
@@ -148,7 +159,7 @@ class _Search:
                             seen.add(v)
                             queue.append(v)
         result = frozenset(seen)
-        self._classes[key] = result
+        known.update(dict.fromkeys(result, result))
         return result
 
     def equal(self, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
@@ -222,33 +233,13 @@ def _family_reps(monoid: PresentedMonoid, family):
     return family, reps, max(map(len, reps), default=0)
 
 
-def _products(reps: list[tuple[int, ...]]) -> dict:
-    """Each product word reps[c] reps[d], mapped to its index pairs (c, d)
-    in lexicographic order."""
-    by_word: dict = {}
-    for c, rc in enumerate(reps):
-        for d, rd in enumerate(reps):
-            by_word.setdefault(rc + rd, []).append((c, d))
-    return by_word
-
-
-def _factorisations(
-    search: _Search, e: tuple[int, ...], by_word: dict, maxlen: int
-) -> list[tuple[int, int]]:
-    """Index pairs (c, d), in lexicographic order, with reps[c] reps[d]
-    equal to ``e`` within the window max(|e|, 2 * maxlen) + ``LENGTH_SLACK``;
-    ``by_word`` is ``_products(reps)`` and ``maxlen`` the length of the
-    longest rep.  Walks the class or the products, whichever is smaller."""
-    cls = search.class_of(e, max(len(e), 2 * maxlen) + LENGTH_SLACK)
-    small, big = (cls, by_word) if len(cls) <= len(by_word) else (by_word, cls)
-    return sorted(p for w in small if w in big for p in by_word[w])
-
-
 def right_divisors(monoid: PresentedMonoid, e: Word, family) -> set[FamilyElement]:
-    """Family elements d such that e = c * d for some family element c."""
+    """Family elements d such that e = c * d for some family element c,
+    within the window of :func:`greedy_table` or of ``e`` if longer."""
     family, reps, maxlen = _family_reps(monoid, family)
-    pairs = _factorisations(_search_for(monoid), monoid.atoms.ids(e), _products(reps), maxlen)
-    return {family[d] for _, d in pairs}
+    e = monoid.atoms.ids(e)
+    cls = _search_for(monoid).class_of(e, max(len(e), 2 * maxlen) + LENGTH_SLACK)
+    return {family[d] for rc in reps for d, rd in enumerate(reps) if rc + rd in cls}
 
 
 def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
@@ -262,16 +253,14 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
     :class:`AmbiguousMaximum`.  The result is checked for pair idempotence.
     A ``unit`` given as a family element, a name or a symbol is matched by name.
 
-    Every product has length at most 2 * maxlen, so every product's class
-    is taken in the one window 2 * maxlen + ``LENGTH_SLACK``.  Relations
-    apply in both directions, so the classes in one window partition its
-    words, and a class reached from any of its words is the same set.  The
-    candidates of (x, y), their maximal right parts and the left parts of
-    the chosen one therefore depend only on the class of rep(x) rep(y):
-    they are worked out when the first pair of a class is reached, in
-    product order, and shared by every product word of that class.  A class
-    whose entry fails raises at its first pair, as a pair-by-pair
-    construction would, with that pair's names.
+    Every product has length at most 2 * maxlen, so all classes are taken
+    in the one window 2 * maxlen + ``LENGTH_SLACK``, which they partition
+    (see :class:`_Search`).  The candidates of (x, y), and so its entry,
+    depend only on the class of its product: one pass in product order
+    groups the pairs by class, and each group's entry is worked out once.
+    Errors come as a pair-by-pair construction raises them: a group fails
+    at its first pair, and a :class:`BudgetExhausted` met in the pass is
+    raised once the groups begun before it are complete and settled.
     """
     family, reps, maxlen = _family_reps(monoid, family)
     alphabet = Alphabet(f.name.name for f in family)
@@ -285,32 +274,37 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
         )
 
     search = _search_for(monoid)
+    window = 2 * maxlen + LENGTH_SLACK
+    g = len(family)
+    groups: dict = {}  # class -> its pairs (x, y) in product order
+    stopped = None
+    for x, y in itertools.product(range(g), repeat=2):
+        product = reps[x] + reps[y]
+        if stopped is None:
+            try:
+                groups.setdefault(search.class_of(product, window), []).append((x, y))
+            except BudgetExhausted as exc:
+                stopped = exc
+        else:
+            for cls, pairs in groups.items():
+                if product in cls:
+                    pairs.append((x, y))
+                    break
 
     def divides(i: int, j: int) -> bool:
         return search.divides(reps[i], reps[j])
 
-    by_word = _products(reps)
-    # product word -> (maximal right parts, left parts of the sole maximum)
-    entries: dict = {}
-    rules = []
-    for xi, yi in itertools.product(range(len(family)), repeat=2):
-        entry = entries.get(reps[xi] + reps[yi])
-        if entry is None:
-            # (x, y) is one of its own candidates: the class keeps its
-            # start word, so the list is never empty
-            candidates = _factorisations(search, reps[xi] + reps[yi], by_word, maxlen)
-            ds = list(dict.fromkeys(d for _, d in candidates))
-            maxima = [
-                d
-                for d in ds
-                if not any(d2 != d and divides(d, d2) and not divides(d2, d) for d2 in ds)
-            ]
-            # the left parts of the sole maximum; a window-limited divides
-            # need not be transitive, so there may be no maximum at all
-            cs = [c for c, d in candidates if [d] == maxima]
-            entry = (maxima, cs)
-            entries.update(dict.fromkeys((reps[c] + reps[d] for c, d in candidates), entry))
-        maxima, cs = entry
+    images = [None] * (g * g)
+    for pairs in groups.values():
+        xi, yi = pairs[0]
+        ds = list(dict.fromkeys(d for _, d in pairs))
+        maxima = [
+            d
+            for d in ds
+            if not any(d2 != d and divides(d, d2) and not divides(d2, d) for d2 in ds)
+        ]
+        # a window-limited divides need not be transitive, so there may be
+        # no maximum at all
         if len(maxima) != 1:
             names = ", ".join(str(family[d].name) for d in maxima)
             raise AmbiguousMaximum(
@@ -318,21 +312,20 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
                 f"right part among {{{names}}}"
             )
         dstar = maxima[0]
+        cs = [c for c, d in pairs if d == dstar]
         if len(cs) != 1:
             names = ", ".join(str(family[c].name) for c in cs)
             raise AmbiguousMaximum(
                 f"pair ({family[xi].name} {family[yi].name}): right part "
                 f"{family[dstar].name} admits several left parts {{{names}}}"
             )
-        if (cs[0], dstar) != (xi, yi):
-            rules.append(((xi, yi), (cs[0], dstar)))
+        for a, b in pairs:
+            images[a * g + b] = (cs[0], dstar)
+    if stopped is not None:
+        raise stopped
 
-    syms = alphabet.symbols
-    table = NormTable(
-        alphabet,
-        [((syms[a], syms[b]), (syms[c], syms[d])) for (a, b), (c, d) in rules],
-        unit=unit.name.name,
-    )
+    table = NormTable._of_pairs(alphabet, tuple(images))
+    table.unit = alphabet[unit.name.name]
     table.require_idempotent()
     return table
 

@@ -7,6 +7,7 @@ lengths are recomputed by value iteration over the whole word space.
 """
 
 from collections import deque
+from functools import lru_cache
 import itertools
 
 from garnorm import (
@@ -21,6 +22,8 @@ from garnorm import (
     NotNormalising,
     Symbol,
     Word,
+    build_thurston,
+    gallery,
 )
 from garnorm.core import (
     _is_normal_ids,
@@ -365,6 +368,18 @@ def sweep_thurston(t, w: Word, max_sweeps: int | None = None) -> Word:
     if not _is_normal_ids(pairs, g, ids):
         raise error(f"sweeps of '{w}' reach no normal word")
     return _word_from_ids(t.alphabet, ids)
+
+
+@lru_cache(maxsize=None)
+def swept_gallery_forms(name: str, max_len: int) -> bytes:
+    """The letter ids of the normal forms that the sweeps of the sweeping
+    transducer of gallery table ``name`` reach (:func:`sweep_thurston`)
+    from every word of length 1 to ``max_len``, back to back in
+    :func:`all_words` order.  Cached, so every test that checks a kernel
+    against these sweeps sweeps each word once."""
+    table = gallery(name).table
+    th, al = build_thurston(table), table.alphabet
+    return b"".join(bytes(al.ids(sweep_thurston(th, w))) for w in all_words(al, max_len))
 
 
 def changing_sweeps(t, ids) -> int:

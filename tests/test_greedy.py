@@ -24,6 +24,7 @@ from garnorm import (
     verify_normalisation,
 )
 from garnorm import greedy
+from garnorm.core import _word_from_ids
 from garnorm.shell import emit_table
 from helpers import all_pairs_right_divisors, pairwise_greedy_table, unmemoised_family_closure
 
@@ -123,6 +124,19 @@ def test_bounded_equal_budget_exhaustion():
         bounded_equal(M, M.atoms.word("a b a a b a"), M.atoms.word("b a b b a b"))
 
 
+def test_equal_presentations_hash_once_and_share_one_search(monkeypatch):
+    # a presentation is hashed when it is built; looking up its search
+    # hashes no relation word
+    M1, M2 = braid4_monoid(), braid4_monoid()
+    assert M1 is not M2 and M1 == M2 and hash(M1) == hash(M2)
+    search = greedy._search_for(M1)
+    hashed = []
+    monkeypatch.setattr(Word, "__hash__", lambda self: hashed.append(self) or hash(self._ids))
+    assert greedy._search_for(M2) is search
+    assert greedy._search_for(M1) is search
+    assert hashed == []
+
+
 def test_presented_monoid_validation():
     atoms = Alphabet(("a",))
     with pytest.raises(GarnormError):
@@ -133,6 +147,23 @@ def test_make_family_rejects_two_units():
     atoms = Alphabet(("a",))
     with pytest.raises(GarnormError):
         make_family(atoms, [("1", ""), ("e", "")])
+
+
+def test_a_class_over_the_budget_is_stored_for_none_of_its_words():
+    # the class of abababab has 19 words; under a budget of 18 every one of
+    # them raises, the first asked and each later one, so nothing was stored
+    M = braid3_monoid()
+    u = M.atoms.word("a b a b a b a b")
+    window = len(u) + greedy.LENGTH_SLACK
+    cls = greedy._Search(M, 100_000).class_of(u.ids(), window)
+    assert len(cls) == 19
+    with node_budget(18):
+        for v in sorted(cls, key=lambda v: v != u.ids()):
+            with pytest.raises(BudgetExhausted):
+                bounded_equal(M, u, _word_from_ids(M.atoms, v))
+        assert greedy._search_for(M)._classes == {window: {}}
+    with node_budget(19):
+        assert greedy._search_for(M).class_of(u.ids(), window) == cls
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +352,45 @@ def test_greedy_two_sided_order_refuses_what_right_order_builds():
             build(M, fam)
 
 
+# error order, pinned from a scan of small presentations: a pair-by-pair
+# construction raises at the first pair that fails, whichever way it fails
+
+
+def test_an_ambiguous_pair_before_a_class_over_the_budget_raises_first():
+    # under a budget of 20 the class of the fifth product, ba ba, runs out;
+    # the class first reached at (1, ba) is already begun, and its last
+    # pair, (a, ba), comes after the fifth and adds a second left part
+    atoms = Alphabet(("a", "b"))
+    M = PresentedMonoid(atoms, ((atoms.word("b"), atoms.word("a b")),))
+    fam = make_family(atoms, [("1", ""), ("ba", "b a"), ("a", "a")])
+    with node_budget(20):
+        with pytest.raises(BudgetExhausted):
+            greedy._search_for(M).class_of(atoms.word("b a b a").ids(), 8)
+        for build in (greedy_table, pairwise_greedy_table):
+            with pytest.raises(
+                AmbiguousMaximum,
+                match=r"^pair \(1 ba\): right part ba admits several left parts \{1, a\}$",
+            ):
+                build(M, fam)
+
+
+def test_a_class_over_the_budget_before_an_ambiguous_pair_raises_first():
+    # the class of the fifth product, aa aa, has more than 5 words; the
+    # sixth pair, (aa ab), is ambiguous, and its class has only 4
+    atoms = Alphabet(("a", "b"))
+    M = PresentedMonoid(atoms, ((atoms.word("b b"), atoms.word("a a")),))
+    fam = make_family(atoms, [("1", ""), ("aa", "a a"), ("ab", "a b")])
+    for build in (greedy_table, pairwise_greedy_table):
+        with pytest.raises(
+            AmbiguousMaximum, match=r"^pair \(aa ab\): no unique maximal right part"
+        ):
+            build(M, fam)
+        with node_budget(5):
+            assert len(greedy._search_for(M).class_of(atoms.word("a a a b").ids(), 8)) == 4
+            with pytest.raises(BudgetExhausted, match="budget of 5 nodes"):
+                build(M, fam)
+
+
 def test_greedy_budget_propagates():
     M = braid3_monoid()
     fam = braid3_family(M)
@@ -435,6 +505,32 @@ def outcome(call, *args, fresh=True):
         return call(*args)
     except GarnormError as exc:
         return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(presentations_with_families())
+def test_every_word_of_a_class_gets_the_class_back(case):
+    # each class is stored under all of its words: asked from any of them
+    # the memo returns the very same set, and a fresh search from its least
+    # and greatest words finds that set too
+    atoms, relations, entries, extra, spelling = case
+    fam = make_family(spelling, entries)
+    M = PresentedMonoid(atoms, tuple((atoms.word(l), atoms.word(r)) for l, r in relations))
+    reps = [atoms.ids(f.rep) for f in fam]
+    extra = atoms.ids(atoms.word(extra)) if extra else ()
+    window = 2 * max(map(len, reps)) + greedy.LENGTH_SLACK
+    asked = [(rx + ry, window) for rx in reps for ry in reps]
+    asked.append((extra, len(extra) + greedy.LENGTH_SLACK))
+    search = greedy._Search(M, 2_000)
+    for word, window in asked:
+        try:
+            cls = search.class_of(word, window)
+        except BudgetExhausted:
+            continue
+        assert word in cls
+        assert all(search.class_of(v, window) is cls for v in cls)
+        for v in (min(cls), max(cls)):
+            assert greedy._Search(M, 2_000).class_of(v, window) == cls
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
