@@ -54,6 +54,7 @@ import contextvars
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_NODE_BUDGET = 100_000
@@ -380,6 +381,13 @@ def _word_from_ids(alphabet: Alphabet, ids: Iterable[int]) -> Word:
 # normalisation tables
 
 
+@lru_cache(maxsize=None)
+def _identity_pairs(g: int) -> tuple[tuple[int, int], ...]:
+    """The identity pair table on ``g`` letters, (a, b) at index a * g + b.
+    Tables take their images from it, so building one makes no pair."""
+    return tuple((a, b) for a in range(g) for b in range(g))
+
+
 class NormTable:
     """Two-letter restriction of a normalisation: alphabet, optional unit,
     and a total map on ordered pairs of letters (unlisted pairs are fixed).
@@ -399,21 +407,22 @@ class NormTable:
         self.unit = None if unit is None else alphabet[unit]
 
         g = len(alphabet)
-        pairs = [(a, b) for a in range(g) for b in range(g)]
+        fixed = _identity_pairs(g)
+        pairs = list(fixed)
         items = rules.items() if isinstance(rules, Mapping) else rules
         for (a, b), (c, d) in items:
-            pairs[alphabet[a].id * g + alphabet[b].id] = (alphabet[c].id, alphabet[d].id)
+            pairs[alphabet[a].id * g + alphabet[b].id] = fixed[alphabet[c].id * g + alphabet[d].id]
         # image of the pair (a, b) at index a * g + b
         self._pairs: tuple[tuple[int, int], ...] = tuple(pairs)
         self._pad: int | None = None  # see _inserter
         self._insert = None  # see _inserter
 
     @classmethod
-    def _of_pairs(cls, alphabet: Alphabet, pairs) -> "NormTable":
-        """The table without a unit on a flat pair table that is already
-        total."""
+    def _of_pairs(cls, alphabet: Alphabet, pairs, unit: Symbol | None = None) -> "NormTable":
+        """The table on a flat pair table that is already total, with a
+        unit given as a symbol of ``alphabet`` or None."""
         t = cls.__new__(cls)
-        t.alphabet, t.unit, t._pairs = alphabet, None, pairs
+        t.alphabet, t.unit, t._pairs = alphabet, unit, pairs
         t._pad, t._insert = None, None
         return t
 

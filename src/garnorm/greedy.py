@@ -37,6 +37,7 @@ from .core import (
     Symbol,
     Word,
     _NODE_BUDGET,
+    _identity_pairs,
     _word_from_ids,
 )
 
@@ -294,6 +295,7 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
     def divides(i: int, j: int) -> bool:
         return search.divides(reps[i], reps[j])
 
+    fixed = _identity_pairs(g)
     images = [None] * (g * g)
     for pairs in groups.values():
         xi, yi = pairs[0]
@@ -319,13 +321,13 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
                 f"pair ({family[xi].name} {family[yi].name}): right part "
                 f"{family[dstar].name} admits several left parts {{{names}}}"
             )
+        image = fixed[cs[0] * g + dstar]
         for a, b in pairs:
-            images[a * g + b] = (cs[0], dstar)
+            images[a * g + b] = image
     if stopped is not None:
         raise stopped
 
-    table = NormTable._of_pairs(alphabet, tuple(images))
-    table.unit = alphabet[unit.name.name]
+    table = NormTable._of_pairs(alphabet, tuple(images), alphabet[unit.name.name])
     table.require_idempotent()
     return table
 

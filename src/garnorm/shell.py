@@ -52,6 +52,7 @@ from .core import (
     ParseError,
     Symbol,
     Word,
+    _identity_pairs,
     node_budget,
 )
 from .gallery import gallery
@@ -116,15 +117,19 @@ def _first_use(first_lines: dict, key, lineno: int, what: str) -> None:
 
 
 def parse_table(text: str) -> NormTable:
-    """Parse the table format; diagnostics carry line numbers."""
+    """Parse the table format; diagnostics carry line numbers.  Each rule
+    is written straight into the table's flat pair table, so a parse keeps
+    no object per rule."""
     alphabet = None
     unit = None
-    rules = []
-    seen_pairs: dict[tuple[str, str], int] = {}
+    first_lines: dict[int, int] = {}  # pair index a * g + b -> line of its rule
     for lineno, tokens in _directive_lines(text):
         head, rest = tokens[0], tokens[1:]
         if head == "alphabet":
             alphabet = _header(lineno, head, rest, alphabet)
+            g = len(alphabet)
+            fixed = _identity_pairs(g)
+            pairs = list(fixed)
             continue
         if alphabet is None:
             raise ParseError(lineno, "the first directive must be 'alphabet'")
@@ -140,14 +145,15 @@ def parse_table(text: str) -> NormTable:
             if len(rest) != 5 or rest[2] != "->":
                 raise ParseError(lineno, "expected 'rule <a> <b> -> <c> <d>'")
             a, b, _, c, d = rest
-            rule = _letters(lineno, alphabet, (a, b, c, d), "symbol")
-            _first_use(seen_pairs, (a, b), lineno, f"rule for pair ({a} {b})")
-            rules.append((rule[:2], rule[2:]))
+            a, b, c, d = _letters(lineno, alphabet, (a, b, c, d), "symbol")
+            k = a.id * g + b.id
+            _first_use(first_lines, k, lineno, f"rule for pair ({a} {b})")
+            pairs[k] = fixed[c.id * g + d.id]
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
     if alphabet is None:
         raise ParseError(1, "missing alphabet line")
-    return NormTable(alphabet, rules, unit=unit)
+    return NormTable._of_pairs(alphabet, tuple(pairs), None if unit is None else alphabet[unit])
 
 
 def parse_machine(text: str) -> MealyMachine:

@@ -3,8 +3,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from garnorm import Alphabet, GarnormError, ParseError, gallery, gallery_tables
-from garnorm.greedy import PresentedMonoid, make_family
+from garnorm import Alphabet, GarnormError, NormTable, ParseError, gallery, gallery_tables
+from garnorm.core import _identity_pairs
+from garnorm.greedy import PresentedMonoid, greedy_table, make_family
 from garnorm.machines import build_mealy
 from garnorm.shell import (
     Report,
@@ -42,6 +43,21 @@ def test_table_round_trips():
         parsed = parse_table(text)
         assert parsed == entry.table
         assert emit_table(parsed) == text
+
+
+def test_tables_take_their_images_from_the_identity_pair_table():
+    """Parsing, building and greedy tables make no pair tuple of their own:
+    every image is the shared identity table's tuple."""
+    tables = []
+    for entry in gallery_tables():
+        tables += [NormTable(entry.table.alphabet, entry.table.rules(), entry.table.unit),
+                   parse_table(emit_table(entry.table))]
+    for name in ("bs10", "bs32", "braid3"):
+        tables.append(greedy_table(*gallery(name).presentation))
+    for table in tables:
+        g = len(table.alphabet)
+        fixed = _identity_pairs(g)
+        assert all(p is fixed[p[0] * g + p[1]] for p in table._pairs)
 
 
 def test_machine_round_trips():
