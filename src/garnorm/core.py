@@ -141,6 +141,11 @@ class NormalWordBudgetExhausted(NotNormalising, BudgetExhausted):
     finding one, so whether one exists is unknown."""
 
 
+class WindowPruned(BudgetExhausted):
+    """The word-problem search found no path within its length window, but
+    the window cut a move, so the words may still be equal."""
+
+
 class UnknownName(GarnormError):
     """No gallery entry with this name."""
 

@@ -8,11 +8,17 @@ all two-element factorisations.  For well-behaved families (generating,
 closed under left divisors and left-mcms) the resulting table has bounded
 breadth.
 
-Equality of words is decided by a budgeted closure search over the
-presentation's relations, applied in both directions at every position.
-Length-changing relations are explored up to ``LENGTH_SLACK`` letters past
-the longer word, and exhausting the :func:`~garnorm.core.node_budget`
-raises an error rather than guessing.
+:func:`bounded_equal` first runs, once per search, a shortlex
+Knuth–Bendix completion of the presentation.  When it finishes, it
+compares normal forms under the completed rules, which is exact with no
+length window.  Otherwise, and always for divisibility, the greedy table
+and the closure check, equality of words is decided by a budgeted closure
+search over the presentation's relations, applied in both directions at
+every position.  Length-changing relations are explored up to
+``LENGTH_SLACK`` letters past the longer word.  Exhausting the
+:func:`~garnorm.core.node_budget` raises an error rather than guessing,
+and :func:`bounded_equal` raises rather than answer a "not equal" that
+the window may have cut short.
 
 The search stores each class it finds under every one of its words, so
 the greedy table groups its products by class in one pass and works out
@@ -35,13 +41,15 @@ from .core import (
     MissingUnit,
     NormTable,
     Symbol,
+    WindowPruned,
     Word,
     _NODE_BUDGET,
     _identity_pairs,
     _word_from_ids,
 )
 
-#: How many letters past the longer of its words a closure search may go.
+#: How many letters past the longer of its words a closure search may go,
+#: and past the longest relation side a completed rule's left side may go.
 LENGTH_SLACK = 4
 
 
@@ -114,8 +122,15 @@ class _Search:
     the classes of a window partition its words.  So one memo,
     ``{window: {word: class}}``, stores each class under all its words.  A
     class over the budget raises from each of its words and is stored for
-    none, so the memo changes no answer or error.  Both divisibility
-    verdicts, two-sided and right, are memoised for the life of the search.
+    none, so the memo changes no answer or error.  A class from which some
+    move leaves the window is kept in ``_pruned``; a class outside it is
+    closed under every move, so it is the whole equivalence class.  Both
+    divisibility verdicts, two-sided and right, are memoised for the life
+    of the search.
+
+    ``completion()`` is the shortlex completion of the relations, run on
+    the first call; when it finished, ``normal_form`` memoises each word's
+    normal form under it.
     """
 
     def __init__(self, monoid: PresentedMonoid, budget: int):
@@ -127,6 +142,12 @@ class _Search:
             rules += [(lhs, rhs), (rhs, lhs)]
         self._rules = rules
         self._classes: dict = {}  # window -> {word: its class}
+        self._pruned: set = set()  # classes whose window cut a move
+        # completion's (rules or None, nodes) once it has run; set here, not
+        # added on first use, since an attribute added later gives searches
+        # different layouts and slows every attribute read of every search
+        self._completion = None
+        self._normal_forms: dict = {}  # word -> its normal form under completion
         self._divides: dict = {}
         self._right_divides: dict = {}
 
@@ -142,12 +163,14 @@ class _Search:
         rules = self._rules
         seen = {word}
         queue = deque([word])
+        pruned = False
         while queue:
             w = queue.popleft()
             n = len(w)
             for lhs, rhs in rules:
                 k = len(lhs)
                 if n - k + len(rhs) > window:
+                    pruned = pruned or _occurs(lhs, w)
                     continue
                 for i in range(n - k + 1):
                     if w[i : i + k] == lhs:
@@ -161,11 +184,27 @@ class _Search:
                             queue.append(v)
         result = frozenset(seen)
         known.update(dict.fromkeys(result, result))
+        if pruned:
+            self._pruned.add(result)
         return result
 
     def equal(self, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
         window = max(len(u), len(v)) + LENGTH_SLACK
         return v in self.class_of(u, window)
+
+    def completion(self) -> dict | None:
+        """The completed rules ``{lhs: rhs}``, or None if completion gave
+        up.  Completion runs on the first call."""
+        if self._completion is None:
+            self._completion = _complete(self._rules[::2], self.budget)
+        return self._completion[0]
+
+    def normal_form(self, word: tuple[int, ...]) -> tuple[int, ...]:
+        """``word``'s normal form under the finished completion."""
+        normal = self._normal_forms.get(word)
+        if normal is None:
+            normal = self._normal_forms[word] = _reduce(self._completion[0], word)
+        return normal
 
     def _contains(self, r1: tuple[int, ...], r2: tuple[int, ...], subwords) -> bool:
         """Does some word equal to ``r2`` have a subword, as ``subwords``
@@ -195,6 +234,83 @@ class _Search:
         return verdict
 
 
+def _occurs(part: tuple[int, ...], w: tuple[int, ...]) -> bool:
+    k = len(part)
+    return any(w[i : i + k] == part for i in range(len(w) - k + 1))
+
+
+def _reduce(rules: dict, word: tuple[int, ...]) -> tuple[int, ...]:
+    """The normal form of ``word`` under ``rules``, rewritten leftmost
+    first: the letters read so far never hold a left side, so a left side
+    can only appear as their suffix."""
+    lengths = sorted({len(lhs) for lhs in rules})
+    out: list = []
+    todo = list(reversed(word))
+    while todo:
+        out.append(todo.pop())
+        for k in lengths:
+            rhs = rules.get(tuple(out[-k:])) if k <= len(out) else None
+            if rhs is not None:
+                del out[-k:]
+                todo += reversed(rhs)
+                break
+    return tuple(out)
+
+
+def _complete(relations, budget: int) -> tuple[dict | None, int]:
+    """Shortlex Knuth–Bendix completion of ``relations`` (Knuth and Bendix
+    1970; Book and Otto, *String-Rewriting Systems*, 1993, ch. 2).
+
+    Each equation is reduced on both sides, oriented by shortlex on atom
+    ids and added as a rule; every rule whose left side holds the new left
+    side is taken back out as an equation (its inclusion critical pair),
+    and every right side is reduced.  The overlaps of the new rule with each rule, in
+    both orders, are queued as equations.  When the queue empties, every
+    critical pair is joinable and the rules are confluent, so two words are
+    equal iff their normal forms are.  Each equation costs one node of the
+    budget as it is queued, so the queue never outgrows the budget.
+    Completion gives up (no rules) when the next equation is over the
+    budget or a left side outgrows the longest relation side by more than
+    ``LENGTH_SLACK``.  Returns the rules and the nodes charged, which are
+    over the budget when it gave up for the budget.
+    """
+    cap = max((len(w) for pair in relations for w in pair), default=0) + LENGTH_SLACK
+    rules: dict = {}
+    queue = deque(relations)
+    done = 0
+    while queue:
+        if done + len(queue) > budget:
+            return None, done + len(queue)
+        done += 1
+        u, v = queue.popleft()
+        u, v = _reduce(rules, u), _reduce(rules, v)
+        if u == v:
+            continue
+        lhs, rhs = (u, v) if (len(u), u) > (len(v), v) else (v, u)
+        if len(lhs) > cap:
+            return None, done + len(queue)
+        for l in [l for l in rules if _occurs(lhs, l)]:
+            queue.append((l, rules.pop(l)))
+        rules[lhs] = rhs
+        for l, r in rules.items():
+            rules[l] = _reduce(rules, r)
+        for l, r in rules.items():
+            queue += _overlaps(lhs, rhs, l, r)
+            if l != lhs:
+                queue += _overlaps(l, r, lhs, rhs)
+    return rules, done
+
+
+def _overlaps(l1, r1, l2, r2):
+    """The critical pairs of l1 -> r1 and l2 -> r2 where a proper suffix of
+    l1 is a proper prefix of l2."""
+    return [
+        (r1 + l2[k:], l1[:-k] + r2)
+        for k in range(1, min(len(l1), len(l2)))
+        if l1[-k:] == l2[:k]
+    ]
+
+
 def _factors(w: tuple[int, ...]):
     n = len(w)
     return (w[i:j] for i in range(n + 1) for j in range(i, n + 1))
@@ -213,14 +329,31 @@ def _search_for(monoid: PresentedMonoid) -> _Search:
 
 
 def bounded_equal(monoid: PresentedMonoid, u: Word, v: Word) -> bool:
-    """Decide u = v in the monoid by budgeted relation closure.
+    """Decide u = v in the monoid.
 
-    True iff ``v`` is reachable from ``u`` by relation replacements within
-    the length window max(|u|, |v|) + ``LENGTH_SLACK``.  Raises
-    :class:`BudgetExhausted` when the budget runs out (the answer is then
-    unknown, never reported as False).
+    When the shortlex completion of the presentation finished within the
+    budget, the answer is exact: u = v iff both have the same normal form
+    under the completed rules.  Otherwise it is True iff ``v`` is reachable
+    from ``u`` by relation replacements within the length window
+    max(|u|, |v|) + ``LENGTH_SLACK``, and False only when no move from the
+    class of ``u`` left that window, so the class is whole.  If a move
+    did, :class:`WindowPruned` is raised; when the budget runs out,
+    :class:`BudgetExhausted`.  An unknown answer is never reported as False.
     """
-    return _search_for(monoid).equal(monoid.atoms.ids(u), monoid.atoms.ids(v))
+    search = _search_for(monoid)
+    u, v = monoid.atoms.ids(u), monoid.atoms.ids(v)
+    if search.completion() is not None:
+        return search.normal_form(u) == search.normal_form(v)
+    window = max(len(u), len(v)) + LENGTH_SLACK
+    cls = search.class_of(u, window)
+    if v in cls:
+        return True
+    if cls in search._pruned:
+        raise WindowPruned(
+            f"no path within the length window of {window} letters joins the words, "
+            "but the window cut a move: the answer is unknown"
+        )
+    return False
 
 
 # ---------------------------------------------------------------------------

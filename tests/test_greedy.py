@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from garnorm import (
     NormTable,
     PresentedMonoid,
     Word,
+    WindowPruned,
     bounded_equal,
     breadth,
     check_family_closure,
@@ -92,6 +95,25 @@ def free_commutative_monoid():
     return PresentedMonoid(atoms, ((atoms.word("a b"), atoms.word("b a")),))
 
 
+def presented(atoms, *relations):
+    """A presentation over one-letter atoms, relations spelt without spaces."""
+    atoms = Alphabet(tuple(atoms))
+    spelt = lambda w: atoms.word_of(list(w))
+    return PresentedMonoid(atoms, tuple((spelt(l), spelt(r)) for l, r in relations))
+
+
+def b6_monoid():
+    """a = b^6 = c: every path joining a and c passes through b^6."""
+    return presented("abc", ("a", "bbbbbb"), ("c", "bbbbbb"))
+
+
+def completed(monoid, budget=100_000):
+    """The completed rules, spelt without spaces, and the nodes charged."""
+    rules, nodes = greedy._complete(greedy._Search(monoid, budget)._rules[::2], budget)
+    spelt = lambda w: "".join(monoid.atoms.names()[i] for i in w)
+    return rules and {spelt(l): spelt(r) for l, r in rules.items()}, nodes
+
+
 # ---------------------------------------------------------------------------
 # the word-problem oracle
 
@@ -122,6 +144,58 @@ def test_bounded_equal_budget_exhaustion():
     M = braid3_monoid()
     with node_budget(2), pytest.raises(BudgetExhausted):
         bounded_equal(M, M.atoms.word("a b a a b a"), M.atoms.word("b a b b a b"))
+
+
+def test_bounded_equal_answers_the_b6_probes():
+    # the window of a short query is too narrow for b^6; completion decides
+    M = b6_monoid()
+    for u, v in (("a", "c"), ("ab", "cb"), ("ba", "bc"), ("a", "bbbbbb")):
+        assert bounded_equal(M, M.atoms.word_of(list(u)), M.atoms.word_of(list(v)))
+    assert not bounded_equal(M, M.atoms.word_of(["a"]), M.atoms.word_of(["b"]))
+
+
+def test_completed_rules():
+    assert completed(bs10_monoid()) == ({"ab": "a"}, 1)
+    assert completed(presented("ab", ("abbb", "bba"))) == ({"abbb": "bba"}, 1)
+    assert completed(b6_monoid()) == ({"c": "a", "ba": "ab", "bbbbbb": "a"}, 26)
+    assert greedy._search_for(bs10_monoid()).completion() == {(0, 1): (0,)}
+
+
+def test_braid_presentations_give_up_completion_early():
+    # their rules grow past the longest relation side plus LENGTH_SLACK, so
+    # completion stops after a few dozen nodes, not at the budget
+    assert completed(braid3_monoid()) == (None, 17)
+    assert completed(braid4_monoid()) == (None, 44)
+    assert greedy._search_for(braid4_monoid()).completion() is None
+
+
+def test_completion_charges_the_node_budget():
+    # b6's completion queues 26 equations; under 25 it stops unfinished and
+    # the window search answers: b^6 lies within a's window, c does not
+    M = b6_monoid()
+    a, c, b6 = (M.atoms.word_of(list(w)) for w in ("a", "c", "bbbbbb"))
+    assert completed(M, 25) == (None, 26)
+    with node_budget(25):
+        assert greedy._search_for(M).completion() is None
+        assert bounded_equal(M, a, b6)
+        with pytest.raises(WindowPruned, match="window of 5 letters"):
+            bounded_equal(M, a, c)
+    with node_budget(26):
+        assert greedy._search_for(M).completion() is not None
+        assert bounded_equal(M, a, c)
+
+
+def test_a_negative_from_a_pruned_window_is_labelled():
+    # found by a scan of small presentations: completion gives up, and no
+    # path within b's window of 7 letters reaches aab, but one within 12
+    # does, so the window's "not equal" would be wrong
+    M = presented("ab", ("b", "abb"), ("baa", "bab"))
+    assert completed(M) == (None, 51)
+    b, aab = M.atoms.word_of(["b"]), M.atoms.word_of(list("aab"))
+    with pytest.raises(WindowPruned, match="window of 7 letters") as raised:
+        bounded_equal(M, b, aab)
+    assert isinstance(raised.value, BudgetExhausted)
+    assert aab.ids() in greedy._Search(M, 100_000).class_of(b.ids(), 12)
 
 
 def test_equal_presentations_hash_once_and_share_one_search(monkeypatch):
@@ -531,6 +605,36 @@ def test_every_word_of_a_class_gets_the_class_back(case):
         assert all(search.class_of(v, window) is cls for v in cls)
         for v in (min(cls), max(cls)):
             assert greedy._Search(M, 2_000).class_of(v, window) == cls
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(presentations_with_families())
+def test_completion_agrees_with_the_closure_search(case):
+    # class_of is the oracle: where completion finished, each rule's sides
+    # are equal by it, and on the products of family words the normal forms
+    # agree with every positive and with every negative whose window pruned
+    # nothing; otherwise bounded_equal answers as the window does, and
+    # labels each negative of a pruned window
+    atoms, relations, entries, _, spelling = case
+    M = PresentedMonoid(atoms, tuple((atoms.word(l), atoms.word(r)) for l, r in relations))
+    search = greedy._Search(M, 20_000)
+    rules = search.completion()
+    for lhs, rhs in (rules or {}).items():
+        assert rhs in search.class_of(lhs, len(lhs) + 2 * greedy.LENGTH_SLACK)
+    reps = [atoms.ids(f.rep) for f in make_family(spelling, entries)]
+    products = sorted({rx + ry for rx in reps for ry in reps})
+    greedy._search.cache_clear()
+    for u, v in itertools.combinations(products, 2):
+        cls = search.class_of(u, max(len(u), len(v)) + greedy.LENGTH_SLACK)
+        exact = v in cls or cls not in search._pruned
+        if rules is not None:
+            if exact:
+                assert (search.normal_form(u) == search.normal_form(v)) == (v in cls)
+        else:
+            u_word, v_word = _word_from_ids(atoms, u), _word_from_ids(atoms, v)
+            with node_budget(20_000):
+                got = outcome(bounded_equal, M, u_word, v_word, fresh=False)
+            assert (got == (v in cls)) if exact else (got[0] is WindowPruned)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
