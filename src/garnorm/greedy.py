@@ -8,17 +8,17 @@ all two-element factorisations.  For well-behaved families (generating,
 closed under left divisors and left-mcms) the resulting table has bounded
 breadth.
 
-:func:`bounded_equal` first runs, once per search, a shortlex
-Knuth–Bendix completion of the presentation.  When it finishes, it
-compares normal forms under the completed rules, which is exact with no
-length window.  Otherwise, and always for divisibility, the greedy table
-and the closure check, equality of words is decided by a budgeted closure
-search over the presentation's relations, applied in both directions at
-every position.  Length-changing relations are explored up to
-``LENGTH_SLACK`` letters past the longer word.  Exhausting the
+:meth:`_Search.equal`, the one decision of u = v behind :func:`bounded_equal`
+and the closure check, first runs a shortlex Knuth–Bendix completion of
+the presentation, once per search.  When that finishes, it compares
+normal forms under the completed rules: exact, with no length window.
+Otherwise it runs a budgeted closure search over the relations, applied
+both ways at every position, with length-changing relations explored up
+to ``LENGTH_SLACK`` letters past the longer word.  Exhausting the
 :func:`~garnorm.core.node_budget` raises an error rather than guessing,
-and :func:`bounded_equal` raises rather than answer a "not equal" that
-the window may have cut short.
+and a "not equal" the window may have cut short raises
+:class:`WindowPruned`.  Divisibility, the greedy table and the closure
+check's left divisors search classes in windows: they need class words.
 
 The search stores each class it finds under every one of its words, so
 the greedy table groups its products by class in one pass and works out
@@ -189,8 +189,19 @@ class _Search:
         return result
 
     def equal(self, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+        """Decide u = v, as :func:`bounded_equal` documents."""
+        if self.completion() is not None:
+            return self.normal_form(u) == self.normal_form(v)
         window = max(len(u), len(v)) + LENGTH_SLACK
-        return v in self.class_of(u, window)
+        cls = self.class_of(u, window)
+        if v in cls:
+            return True
+        if cls in self._pruned:
+            raise WindowPruned(
+                f"no path within the length window of {window} letters joins the words, "
+                "but the window cut a move: the answer is unknown"
+            )
+        return False
 
     def completion(self) -> dict | None:
         """The completed rules ``{lhs: rhs}``, or None if completion gave
@@ -340,20 +351,7 @@ def bounded_equal(monoid: PresentedMonoid, u: Word, v: Word) -> bool:
     did, :class:`WindowPruned` is raised; when the budget runs out,
     :class:`BudgetExhausted`.  An unknown answer is never reported as False.
     """
-    search = _search_for(monoid)
-    u, v = monoid.atoms.ids(u), monoid.atoms.ids(v)
-    if search.completion() is not None:
-        return search.normal_form(u) == search.normal_form(v)
-    window = max(len(u), len(v)) + LENGTH_SLACK
-    cls = search.class_of(u, window)
-    if v in cls:
-        return True
-    if cls in search._pruned:
-        raise WindowPruned(
-            f"no path within the length window of {window} letters joins the words, "
-            "but the window cut a move: the answer is unknown"
-        )
-    return False
+    return _search_for(monoid).equal(monoid.atoms.ids(u), monoid.atoms.ids(v))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +471,7 @@ def greedy_table(monoid: PresentedMonoid, family, unit=None) -> NormTable:
 class FamilyClosureReport:
     """Advisory closure check: left divisors of family elements that match
     no family element, minimal common left-multiples likewise, and notes
-    for verdicts the budget could not settle."""
+    for verdicts the budget or a pruned window could not settle."""
 
     missing_left_divisors: list = field(default_factory=list)
     missing_left_mcms: list = field(default_factory=list)
@@ -484,44 +482,45 @@ class FamilyClosureReport:
         return not (self.missing_left_divisors or self.missing_left_mcms or self.unknown)
 
 
+def _cause(exc: BudgetExhausted) -> str:
+    return "window pruned" if isinstance(exc, WindowPruned) else "budget exhausted"
+
+
 def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport:
     """Check the family for closure under left divisors and left-mcms.
 
-    Left divisors are found as prefixes of words equal to a family
-    representative; common left-multiples are sought among atom words no
-    longer than the longest representative.  Advisory only: the greedy
-    construction does not require a passing report.
+    Left divisors are prefixes of the words of a representative's class in
+    the window of :func:`greedy_table`; common left-multiples are sought
+    among atom words no longer than the longest representative.  Family
+    membership, "already reported" and minimality ask :meth:`_Search.equal`,
+    and an entry it cannot settle is unknown, naming the cause: "window
+    pruned" or "budget exhausted".  Advisory only: the greedy construction
+    does not require a passing report.
 
     The scan for a proper right divisor of a common multiple m stops at the
     first one: that True verdict is a witness whatever the verdicts not yet
     asked would say, and m is minimal only when all are asked and False, so
-    a budget error before any witness still labels the pair unknown.  The
-    scan asks a prefix of a full scan's questions, in order: only a pair a
-    full scan labels unknown after its answer was settled reads otherwise.
+    an error before any witness still labels the pair unknown.
     """
     family, reps, maxlen = _family_reps(monoid, family)
     report = FamilyClosureReport()
     search = _search_for(monoid)
-    right_divides = search.right_divides
-    window = 2 * maxlen + LENGTH_SLACK
+    equal, right_divides = search.equal, search.right_divides
     atoms = monoid.atoms
 
-    def unreported(w, reported: list[frozenset]) -> bool:
-        """Is ``w`` equal to no family element and outside every class in
-        ``reported``?  If so, its class joins ``reported``."""
-        if any(search.equal(r, w) for r in reps):
+    def unreported(w, reported: list) -> bool:
+        """Is ``w`` equal to no family element and to no word in
+        ``reported``?  If so, it joins ``reported``."""
+        if any(equal(r, w) for r in reps) or any(equal(x, w) for x in reported):
             return False
-        cls = search.class_of(w, len(w) + LENGTH_SLACK)
-        if any(w in cl for cl in reported):
-            return False
-        reported.append(cls)
+        reported.append(w)
         return True
 
     # left divisors: prefixes of any word equal to a representative
-    reported: list[frozenset] = []
+    reported: list = []
     for f, rf in zip(family, reps):
         try:
-            cls = search.class_of(rf, window)
+            cls = search.class_of(rf, 2 * maxlen + LENGTH_SLACK)
         except BudgetExhausted:
             report.unknown.append(f"left divisors of {f.name}: budget exhausted")
             continue
@@ -530,9 +529,9 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
             try:
                 if unreported(p, reported):
                     report.missing_left_divisors.append((f, _word_from_ids(atoms, p)))
-            except BudgetExhausted:
+            except BudgetExhausted as exc:
                 report.unknown.append(
-                    f"left divisor '{_word_from_ids(atoms, p)}' of {f.name}: budget exhausted"
+                    f"left divisor '{_word_from_ids(atoms, p)}' of {f.name}: {_cause(exc)}"
                 )
 
     # left-mcms: minimal common left-multiples among short atom words
@@ -547,16 +546,13 @@ def check_family_closure(monoid: PresentedMonoid, family) -> FamilyClosureReport
             if rf not in multiples:
                 multiples[rf] = [m for m in pool if right_divides(rf, m)]
             common = [m for m in multiples[rf] if right_divides(rg, m)]
-            reported_m: list[frozenset] = []
+            reported_m: list = []
             for m in common:
                 minimal = not any(
-                    m2 != m and right_divides(m2, m) and not search.equal(m2, m)
-                    for m2 in common
+                    m2 != m and right_divides(m2, m) and not equal(m2, m) for m2 in common
                 )
-                if minimal and unreported(m, reported_m):  # new class
+                if minimal and unreported(m, reported_m):
                     report.missing_left_mcms.append((f, g, _word_from_ids(atoms, m)))
-        except BudgetExhausted:
-            report.unknown.append(
-                f"left-mcm of {f.name} and {g.name}: budget exhausted"
-            )
+        except BudgetExhausted as exc:
+            report.unknown.append(f"left-mcm of {f.name} and {g.name}: {_cause(exc)}")
     return report

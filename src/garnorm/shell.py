@@ -158,11 +158,11 @@ def parse_table(text: str) -> NormTable:
 
 def parse_machine(text: str) -> MealyMachine:
     """Parse the machine format; every (state, letter) pair must appear
-    exactly once."""
+    exactly once, and is written straight into the flat pair table."""
     states = None
     alphabet = None
-    trans: dict[tuple[str, str], tuple[int, int]] = {}
-    lines_seen: dict[tuple[str, str], int] = {}
+    pairs: list = []
+    first_lines: dict[int, int] = {}  # pair index q * s + i -> line of its transition
     for lineno, tokens in _directive_lines(text):
         head, rest = tokens[0], tokens[1:]
         if head == "states":
@@ -176,21 +176,22 @@ def parse_machine(text: str) -> MealyMachine:
             if len(rest) != 5 or rest[2] != "->":
                 raise ParseError(lineno, "expected 'trans <state> <letter> -> <next> <output>'")
             q, i, _, nq, o = rest
-            _, nq = _letters(lineno, states, (q, nq), "state")
-            _, o = _letters(lineno, alphabet, (i, o), "letter")
-            _first_use(lines_seen, (q, i), lineno, f"transition for ({q} {i})")
-            trans[q, i] = (nq.id, o.id)
+            q, nq = _letters(lineno, states, (q, nq), "state")
+            i, o = _letters(lineno, alphabet, (i, o), "letter")
+            pairs = pairs or [None] * (len(states) * len(alphabet))
+            k = q.id * len(alphabet) + i.id
+            _first_use(first_lines, k, lineno, f"transition for ({q} {i})")
+            pairs[k] = (o.id, nq.id)
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
     if states is None or alphabet is None:
         raise ParseError(1, "missing states or alphabet line")
-    for q in states.names():
-        for i in alphabet.names():
-            if (q, i) not in trans:
-                raise ParseError(states_line, f"missing transition for ({q} {i})")
-    nxt = [[trans[q, i][0] for i in alphabet.names()] for q in states.names()]
-    out = [[trans[q, i][1] for i in alphabet.names()] for q in states.names()]
-    return MealyMachine(states, alphabet, nxt, out)
+    s = len(alphabet)
+    missing = [k for k in range(len(states) * s) if k not in first_lines]
+    if missing:
+        q, i = states.symbols[missing[0] // s], alphabet.symbols[missing[0] % s]
+        raise ParseError(states_line, f"missing transition for ({q} {i})")
+    return MealyMachine._of_pairs(states, alphabet, tuple(pairs))
 
 
 def parse_presentation(text: str):

@@ -21,6 +21,7 @@ from garnorm import (
     NormTable,
     NotNormalising,
     Symbol,
+    WindowPruned,
     Word,
     build_thurston,
     gallery,
@@ -577,10 +578,12 @@ def unmemoised_family_closure(monoid, family) -> FamilyClosureReport:
     atoms = monoid.atoms
 
     def in_family(ids) -> bool:
-        return any(ids in search.class_of(r, max(len(ids), len(r)) + LENGTH_SLACK)
-                   for r in reps.values())
+        return any(search.equal(r, ids) for r in reps.values())
 
-    reported: list[frozenset] = []
+    def cause(exc) -> str:
+        return "window pruned" if isinstance(exc, WindowPruned) else "budget exhausted"
+
+    reported: list = []
     for f in family:
         try:
             cls = search.class_of(reps[f], window)
@@ -592,14 +595,13 @@ def unmemoised_family_closure(monoid, family) -> FamilyClosureReport:
             try:
                 if in_family(p):
                     continue
-                pcls = search.class_of(p, len(p) + LENGTH_SLACK)
-                if any(p in cl for cl in reported):
+                if any(search.equal(q, p) for q in reported):
                     continue
-                reported.append(pcls)
+                reported.append(p)
                 report.missing_left_divisors.append((f, _word_from_ids(atoms, p)))
-            except BudgetExhausted:
+            except BudgetExhausted as exc:
                 report.unknown.append(
-                    f"left divisor '{_word_from_ids(atoms, p)}' of {f.name}: budget exhausted"
+                    f"left divisor '{_word_from_ids(atoms, p)}' of {f.name}: {cause(exc)}"
                 )
 
     pool = [
@@ -614,26 +616,20 @@ def unmemoised_family_closure(monoid, family) -> FamilyClosureReport:
                 for m in pool
                 if search.right_divides(reps[f], m) and search.right_divides(reps[g], m)
             ]
-            reported_m: list[frozenset] = []
+            reported_m: list = []
             for m in common:
-                proper = [
-                    m2
+                # a proper right divisor is a witness: stop at the first
+                if any(
+                    m2 != m and search.right_divides(m2, m) and not search.equal(m2, m)
                     for m2 in common
-                    if m2 != m
-                    and search.right_divides(m2, m)
-                    and not search.equal(m2, m)
-                ]
-                if proper:
+                ):
                     continue
                 if in_family(m):
                     continue
-                mcls = search.class_of(m, len(m) + LENGTH_SLACK)
-                if any(m in cl for cl in reported_m):
+                if any(search.equal(q, m) for q in reported_m):
                     continue
-                reported_m.append(mcls)
+                reported_m.append(m)
                 report.missing_left_mcms.append((f, g, _word_from_ids(atoms, m)))
-        except BudgetExhausted:
-            report.unknown.append(
-                f"left-mcm of {f.name} and {g.name}: budget exhausted"
-            )
+        except BudgetExhausted as exc:
+            report.unknown.append(f"left-mcm of {f.name} and {g.name}: {cause(exc)}")
     return report

@@ -549,6 +549,32 @@ def test_family_closure_trivial_monoid():
     assert check_family_closure(M, fam).ok
 
 
+def test_family_closure_asks_the_completion_whether_words_are_equal():
+    # c lies in a's class in the family window, and c = a although every
+    # joining path passes through b^6, beyond c's own window
+    M = b6_monoid()
+    assert check_family_closure(M, make_family(M.atoms, [("1", ""), ("a", "a"), ("b", "b")])).ok
+    fam = make_family(M.atoms, [("1", ""), ("a", "a")])
+    report = check_family_closure(M, fam)
+    assert report.missing_left_divisors == [(fam[1], M.atoms.word("b"))]
+    assert report.missing_left_mcms == [] and report.unknown == []
+
+
+def test_family_closure_labels_what_a_pruned_window_leaves_open():
+    # completion gives up and the windows of the prefixes of aab's class
+    # prune, so no prefix is reported missing on a "not equal" that a
+    # longer window might overturn
+    M = presented("ab", ("b", "abb"), ("baa", "bab"))
+    fam = make_family(M.atoms, [("1", ""), ("aab", "a a b")])
+    report = check_family_closure(M, fam)
+    assert report.missing_left_divisors == [] and report.missing_left_mcms == []
+    prefixes = ["a", "a a", "a a a", "a b", "a b a", "a b b", "b", "b a", "b a a", "b a b",
+                "b b", "b b a", "b b b"]
+    assert report.unknown == [f"left divisor '{p}' of aab: window pruned" for p in prefixes] + [
+        "left-mcm of 1 and aab: window pruned"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # against the pair-by-pair oracles
 
