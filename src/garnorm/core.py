@@ -33,7 +33,8 @@ table or machine with no designated unit gets it too.  Every other table
 is normalised by repeated left-to-right sweeps.  A sweep is one map on the
 words of one length, so its iterates end at a normal word, at a fixpoint
 that is not normal, or in a cycle; on the last two, and when the sweeps
-spend the node budget, an exhaustive search of the rewrite graph takes
+spend the node budget, the one forward search of the rewrite graph
+(:func:`_reachable`, which :func:`max_derivation_length` reads too) takes
 over.  Both strategies, and the sweeping transducer of
 :mod:`garnorm.machines`, share one encoding: a flat tuple of image pairs
 indexed ``a * g + b`` for the pair (a, b) over g letters.
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import graphlib
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -660,14 +662,36 @@ def _insert_left_ids(pairs, g: int, ids: Sequence[int], pad: int = -1) -> tuple[
     return (pad,) * k + tuple(z)
 
 
-def _successors(pairs, g: int, ids: tuple[int, ...]) -> list[tuple[int, ...]]:
-    out = []
-    for i in range(len(ids) - 1):
-        a, b = ids[i], ids[i + 1]
-        c, d = pairs[a * g + b]
-        if c != a or d != b:
-            out.append(ids[:i] + (c, d) + ids[i + 2 :])
-    return out
+def _reachable(pairs, g: int, ids: tuple[int, ...]):
+    """The one forward search of the rewrite graph: yield each word that
+    rewrite steps reach from ``ids``, ``ids`` included, breadth first, with
+    the list of its successors (one per position whose pair the table
+    moves).  No word past the :func:`node_budget` is queued; the words
+    queued are all yielded, and then :class:`BudgetExhausted` is raised if
+    the budget cut the search short."""
+    budget = _NODE_BUDGET.get()
+    seen, queue = {ids: ids}, deque([ids])  # one tuple per word, however often reached
+    budget_hit = False
+    while queue:
+        w = queue.popleft()
+        succ = []
+        for i in range(len(w) - 1):
+            a, b = w[i], w[i + 1]
+            c, d = pairs[a * g + b]
+            if c != a or d != b:
+                v = w[:i] + (c, d) + w[i + 2 :]
+                known = seen.get(v)
+                if known is not None:
+                    v = known
+                elif len(seen) < budget:
+                    seen[v] = v
+                    queue.append(v)
+                else:
+                    budget_hit = True
+                succ.append(v)
+        yield w, succ
+    if budget_hit:
+        raise BudgetExhausted(f"derivation search exceeded the node budget of {budget}")
 
 
 def _sweep_to_normal(alphabet: Alphabet, pairs, ids: Sequence[int]) -> tuple[int, ...]:
@@ -701,50 +725,38 @@ def _sweep_to_normal(alphabet: Alphabet, pairs, ids: Sequence[int]) -> tuple[int
 
 
 def _sweep_normalize_ids(table: NormTable, ids: tuple[int, ...]) -> tuple[int, ...]:
-    """Normal form by repeated sweeps, with an exhaustive fallback search
-    when they stop short of one; valid for every table."""
+    """Normal form by repeated sweeps; when they stop short of one, the
+    breadth-first search of :func:`_reachable` looks for two distinct
+    normal words.  Valid for every table.  A search that the node budget
+    cuts short raises :class:`BudgetExhausted`, naming the normal word it
+    found if any, or :class:`NormalWordBudgetExhausted` when it found
+    none."""
     al, pairs, g = table.alphabet, table._pairs, len(table.alphabet)
     try:
         return _sweep_to_normal(al, pairs, ids)
     except (NotNormalising, BudgetExhausted):
         pass
-    # The sweeps reach no normal word: search the rewrite graph from the
-    # word, breadth first, for two distinct normal words.
-    budget = _NODE_BUDGET.get()
-    seen, queue = {ids}, deque([ids])
+    word, budget = _word_from_ids(al, ids), _NODE_BUDGET.get()
     first: tuple[int, ...] | None = None
-    budget_hit = False
-    while queue:
-        w = queue.popleft()
-        succ = _successors(pairs, g, w)
-        if not succ:
-            if first is not None:
-                raise NotConfluent(
-                    _word_from_ids(al, ids), _word_from_ids(al, first), _word_from_ids(al, w)
-                )
-            first = w
-            continue
-        for v in succ:
-            if v not in seen:
-                if len(seen) >= budget:
-                    budget_hit = True
-                    continue
-                seen.add(v)
-                queue.append(v)
-    if first is not None and not budget_hit:
-        return first
-    word = _word_from_ids(al, ids)
-    if first is not None:
+    try:
+        for w, succ in _reachable(pairs, g, ids):
+            if not succ:
+                if first is not None:
+                    raise NotConfluent(word, _word_from_ids(al, first), _word_from_ids(al, w))
+                first = w
+    except BudgetExhausted:
+        if first is None:
+            raise NormalWordBudgetExhausted(
+                f"no normal word reachable from '{word}' within {budget} nodes"
+            ) from None
         # a second normal word may lie past the budget
         raise BudgetExhausted(
             f"the search from '{word}' found the normal word '{_word_from_ids(al, first)}' "
             f"but stopped at the node budget of {budget} before ruling out another"
-        )
-    if budget_hit:
-        raise NormalWordBudgetExhausted(
-            f"no normal word reachable from '{word}' within {budget} nodes"
-        )
-    raise NotNormalising(f"no normal word is reachable from '{word}'")
+        ) from None
+    if first is None:
+        raise NotNormalising(f"no normal word is reachable from '{word}'")
+    return first
 
 
 def _normalize_ids(table: NormTable, ids: tuple[int, ...]) -> tuple[int, ...]:
@@ -1202,50 +1214,24 @@ def adjoin_unit(table: NormTable, name: str = "1") -> NormTable:
 def max_derivation_length(table: NormTable, w: Word) -> int:
     """Length of the longest sequence of word-changing rewrites from ``w``.
 
-    Depth-first over the rewrite graph with memoisation; applications that
-    fix the word are not steps.  Raises :class:`NotTerminating` when a
-    rewrite cycle is found and :class:`BudgetExhausted` past the
-    :func:`node_budget` in force.
+    The graph of words reachable from ``w`` comes from the breadth-first
+    search of :func:`_reachable`; applications that fix the word are not
+    steps.  Lengths are then taken in topological order, each word after
+    its successors.  Raises :class:`NotTerminating` when the searched graph
+    has a cycle, and :class:`BudgetExhausted` when the :func:`node_budget`
+    in force cuts the search short.
     """
     start = table.alphabet.ids(w)
     if len(start) < 2:
         return 0
-    pairs, g = table._pairs, len(table.alphabet)
-    budget = _NODE_BUDGET.get()
-    best_of: dict[tuple[int, ...], int] = {}
-    on_stack: set[tuple[int, ...]] = set()
-    # frame: [word, successor list, next successor index, best length so far]
-    frames: list[list] = []
-
-    def push(t):
-        if len(best_of) + len(on_stack) >= budget:
-            raise BudgetExhausted(
-                f"derivation search exceeded the node budget of {budget}"
-            )
-        on_stack.add(t)
-        frames.append([t, _successors(pairs, g, t), 0, 0])
-
-    push(start)
-    while frames:
-        frame = frames[-1]
-        t, succ, idx, best = frame
-        if idx < len(succ):
-            frame[2] += 1
-            child = succ[idx]
-            if child in best_of:
-                if 1 + best_of[child] > frame[3]:
-                    frame[3] = 1 + best_of[child]
-            elif child in on_stack:
-                raise NotTerminating(
-                    f"rewrite cycle through '{_word_from_ids(table.alphabet, child)}': "
-                    "derivation lengths are unbounded"
-                )
-            else:
-                push(child)
-        else:
-            frames.pop()
-            on_stack.discard(t)
-            best_of[t] = best
-            if frames and 1 + best > frames[-1][3]:
-                frames[-1][3] = 1 + best
-    return best_of[start]
+    graph = dict(_reachable(table._pairs, len(table.alphabet), start))
+    longest: dict[tuple[int, ...], int] = {}
+    try:
+        for t in graphlib.TopologicalSorter(graph).static_order():
+            longest[t] = max((1 + longest[v] for v in graph[t]), default=0)
+    except graphlib.CycleError as exc:
+        raise NotTerminating(
+            f"rewrite cycle through '{_word_from_ids(table.alphabet, exc.args[1][0])}': "
+            "derivation lengths are unbounded"
+        ) from None
+    return longest[start]

@@ -60,6 +60,7 @@ from .core import (
     NormTable,
     Symbol,
     Word,
+    _identity_pairs,
     _sweep,
     _sweep_to_normal,
     _word_from_ids,
@@ -289,17 +290,13 @@ def _pair_reps(m: MealyMachine) -> tuple[tuple[int, int], ...]:
     Action equality is a congruence on state words, so these classes form
     a quadratic rewriting system on them, in the flat pair encoding of
     ``NormTable``: replacing an adjacent pair by its representative keeps
-    the action.  Computed once per machine from the level-1 rows of
-    :func:`_levels` (q**2 * s row entries) and one refinement, and kept in
-    ``m._reps``.
+    the action.  Computed once per machine by refining level 2 of
+    :func:`_levels` with every pair its own representative (q**2 * s row
+    entries), and kept in ``m._reps``.
     """
     reps = m._reps
     if reps is None:
-        q = len(m.states)
-        _, out, nxt = next(_levels(m, 1))
-        pairs = list(itertools.product(range(q), repeat=2))
-        outs = [tuple([out[b][o] for o in out[a]]) for a, b in pairs]
-        succs = [[na * q + nxt[b][o] for na, o in zip(nxt[a], out[a])] for a, b in pairs]
+        *_, (pairs, outs, succs) = _levels(m, 2, _identity_pairs(len(m.states)))
         least: dict = {}
         reps = tuple(least.setdefault(c, p) for p, c in zip(pairs, _refine(outs, succs)))
         m._reps = reps
@@ -389,19 +386,21 @@ def _refine(initial_keys: list, next_rows: list) -> list[int]:
         cls = new
 
 
-def _levels(m: MealyMachine, length: int):
+def _levels(m: MealyMachine, length: int, reps=None):
     """For k = 1 .. ``length``, the reduced state tuples of length k (those
-    whose adjacent pairs are all representatives, see :func:`_pair_reps`)
-    in lexicographic order, with their product-machine rows: ``outs[x][j]``
-    is the output of tuple x on letter j, and ``succs[x][j]`` the position
-    of a reduced tuple with the action of its successor.  Every tuple
-    reduces to one on its level, so the levels meet every action class.
+    whose adjacent pairs are all representatives ``reps``, by default
+    :func:`_pair_reps`) in lexicographic order, with their product-machine
+    rows: ``outs[x][j]`` is the output of tuple x on letter j, and
+    ``succs[x][j]`` the position of a reduced tuple with the action of its
+    successor.  Every tuple reduces to one on its level, so the levels meet
+    every action class.
 
     The prefix of a reduced tuple is reduced, so level k + 1 is built from
     level k.  Letter j through t + (b,) first passes t, which outputs
     o = outs[t][j] and moves to a tuple with the action of s = succs[t][j];
     then b reads o.  So the row entry of t + (b,) is b's output on o, and
-    the position of the reduction of s + (b's next state on o).
+    the position of the reduction of s + (b's next state on o).  With
+    every pair its own representative, no successor needs a reduction.
     """
     if length < 1:
         return
@@ -412,7 +411,7 @@ def _levels(m: MealyMachine, length: int):
     tuples, outs, succs = [(x,) for x in range(q)], out, nxt
     yield tuples, outs, succs
     for _ in range(length - 1):
-        reps = _pair_reps(m)
+        reps = _pair_reps(m) if reps is None else reps
         level = [(r, b) for r, t in enumerate(tuples) for b in range(q)
                  if reps[t[-1] * q + b] == (t[-1], b)]
         prev, tuples = tuples, [tuples[r] + (b,) for r, b in level]

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own search strategies:
 normal forms come from an exhaustive closure over *all* rewrite sequences,
 arithmetic checks go through plain integer base conversion, and derivation
-lengths are recomputed by value iteration over the whole word space.
+lengths are recomputed by value iteration over the whole word space and by
+a depth-first search instead of the library's breadth-first one.
 """
 
 from collections import deque
@@ -20,6 +21,7 @@ from garnorm import (
     MissingUnit,
     NormTable,
     NotNormalising,
+    NotTerminating,
     Symbol,
     WindowPruned,
     Word,
@@ -27,6 +29,7 @@ from garnorm import (
     gallery,
 )
 from garnorm.core import (
+    _NODE_BUDGET,
     _is_normal_ids,
     _sweep,
     _sweep_normalize_ids,
@@ -254,6 +257,76 @@ def bulk_longest_derivations(table: NormTable, n: int, round_cap: int):
         if np.array_equal(lengths, prev):
             return int(lengths.max())
     return None
+
+
+def dfs_longest_derivation(table: NormTable, w: Word) -> int:
+    """Longest derivation from w by a depth-first search with an explicit
+    frame stack, memoising each finished word; raises NotTerminating on
+    meeting a word still on the stack (a rewrite cycle) and BudgetExhausted
+    past the node budget in force, counting finished and open words."""
+    pairs, g = table._pairs, len(table.alphabet)
+    start = table.alphabet.ids(w)
+    if len(start) < 2:
+        return 0
+    budget = _NODE_BUDGET.get()
+    best_of: dict[tuple[int, ...], int] = {}
+    on_stack: set[tuple[int, ...]] = set()
+    # frame: [word, successor list, next successor index, best length so far]
+    frames: list[list] = []
+
+    def push(t):
+        if len(best_of) + len(on_stack) >= budget:
+            raise BudgetExhausted(f"derivation search exceeded the node budget of {budget}")
+        on_stack.add(t)
+        succ = []
+        for i in range(len(t) - 1):
+            c, d = pairs[t[i] * g + t[i + 1]]
+            if (c, d) != (t[i], t[i + 1]):
+                succ.append(t[:i] + (c, d) + t[i + 2 :])
+        frames.append([t, succ, 0, 0])
+
+    push(start)
+    while frames:
+        frame = frames[-1]
+        t, succ, idx, best = frame
+        if idx < len(succ):
+            frame[2] += 1
+            child = succ[idx]
+            if child in best_of:
+                frame[3] = max(frame[3], 1 + best_of[child])
+            elif child in on_stack:
+                raise NotTerminating(
+                    f"rewrite cycle through '{_word_from_ids(table.alphabet, child)}'"
+                )
+            else:
+                push(child)
+        else:
+            frames.pop()
+            on_stack.discard(t)
+            best_of[t] = best
+            if frames:
+                frames[-1][3] = max(frames[-1][3], 1 + best)
+    return best_of[start]
+
+
+def on_rewrite_cycle(table: NormTable, w: Word) -> bool:
+    """True iff some non-empty sequence of word-changing rewrites leads
+    from w back to w, by breadth-first closure over its successors."""
+    start = tuple(w)
+    queue = deque([start])
+    seen = set()
+    while queue:
+        cur = queue.popleft()
+        for i in range(len(cur) - 1):
+            c, d = table.entry(cur[i], cur[i + 1])
+            if (c, d) != (cur[i], cur[i + 1]):
+                nxt = cur[:i] + (c, d) + cur[i + 2 :]
+                if nxt == start:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return False
 
 
 def dict_rewrite_analysis(table: NormTable, max_len: int):

@@ -46,7 +46,9 @@ from helpers import (
     brute_is_normal,
     brute_normal_forms,
     bulk_longest_derivations,
+    dfs_longest_derivation,
     mirror,
+    on_rewrite_cycle,
     sweep_target_breadth,
     walk_rule_breadth,
 )
@@ -881,6 +883,66 @@ def test_derivation_op_agrees_with_value_iteration():
             max_derivation_length(table, w) for w in all_words(table.alphabet, n, min_len=n)
         )
         assert bulk_longest_derivations(table, n, cap) == expected
+
+
+@st.composite
+def pair_maps_and_words(draw):
+    """A pair map on 2-3 letters, idempotent or not, and a word of 3-5
+    letters over it."""
+    g = draw(st.integers(2, 3))
+    al = Alphabet("abc"[:g])
+    pairs = list(itertools.product(al.names(), repeat=2))
+    moved = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=g * g, unique=True))
+    table = NormTable(al, [(p, draw(st.sampled_from(pairs))) for p in moved])
+    return table, al.word_of(draw(st.lists(st.sampled_from(al.names()), min_size=3, max_size=5)))
+
+
+def test_derivation_length_matches_depth_first_oracle(record_testsuite_property):
+    """At the default budget the breadth-first search with lengths in
+    topological order returns the depth-first oracle's value, or raises
+    NotTerminating where the oracle does, naming a word on a rewrite cycle.
+    The examples on each side are recorded as the suite properties
+    ``derivation_finite`` and ``derivation_cycles``."""
+    sides = {"finite": 0, "cycles": 0}
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(pair_maps_and_words())
+    def check(drawn):
+        table, w = drawn
+        try:
+            want = dfs_longest_derivation(table, w)
+        except NotTerminating:
+            with pytest.raises(NotTerminating) as info:
+                max_derivation_length(table, w)
+            named = str(info.value).split("'")[1]
+            assert on_rewrite_cycle(table, table.alphabet.word(named))
+            sides["cycles"] += 1
+        else:
+            assert max_derivation_length(table, w) == want
+            sides["finite"] += 1
+
+    check()
+    assert all(sides.values())
+    for side, count in sides.items():
+        record_testsuite_property(f"derivation_{side}", count)
+
+
+def test_derivation_cycle_past_the_budget_is_a_plain_budget_error():
+    # baa reaches six words, among them the cycle aaa -> aba -> aaa; the
+    # depth-first oracle meets the cycle after three words, while the
+    # breadth-first search outgrows a budget of four before any lengths are
+    # taken
+    al = Alphabet(("a", "b"))
+    t = NormTable(al, [(("a", "a"), ("a", "b")), (("b", "a"), ("a", "a"))])
+    w = al.word("b a a")
+    with node_budget(4):
+        with pytest.raises(BudgetExhausted) as info:
+            max_derivation_length(t, w)
+        assert type(info.value) is BudgetExhausted
+        with pytest.raises(NotTerminating):
+            dfs_longest_derivation(t, w)
+    with pytest.raises(NotTerminating, match="rewrite cycle through '(a a a|a b a)'"):
+        max_derivation_length(t, w)
 
 
 def test_gallery_derivation_bounds_to_length_seven():
