@@ -2,8 +2,12 @@
 machines, each carrying the values the test suite pins them to.
 
 Every entry is constructed programmatically on first request and cached;
-entries are immutable.  The ``finite:Z/n`` scheme builds the padded
-multiplication table of a cyclic group; the other names are fixed objects:
+entries are immutable and built under the default node budget.  The
+``finite:Z/n`` scheme builds the padded multiplication table of a cyclic
+group, and raises :class:`BudgetExhausted` before it allocates when its n²
+products exceed that budget (the CLI exits 3).  Wherever the CLI wants a
+machine, an entry's table stands for its right-context Mealy machine.  The
+other names are fixed objects:
 
 =============  ==============================================================
 bicyclic       <a, b : ab = 1>, padded normal forms; breadth (3, 4)
@@ -22,7 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import DEFAULT_NODE_BUDGET, Alphabet, NormTable, UnknownName, node_budget
+from .core import (
+    DEFAULT_NODE_BUDGET,
+    Alphabet,
+    BudgetExhausted,
+    NormTable,
+    UnknownName,
+    node_budget,
+)
 from .greedy import PresentedMonoid, greedy_table, make_family
 from .machines import MealyMachine
 
@@ -51,6 +62,10 @@ def _finite_table(descriptor: str) -> tuple[NormTable, dict]:
         raise UnknownName(f"bad cyclic group order in {descriptor!r}") from None
     if n < 1:
         raise UnknownName(f"cyclic group order must be positive, got {n}")
+    if n * n > DEFAULT_NODE_BUDGET:  # the budget every cached entry is built under
+        raise BudgetExhausted(
+            f"the {n * n} products of Z/{n} exceed the node budget of {DEFAULT_NODE_BUDGET}"
+        )
     names = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
     alphabet = Alphabet(names)
     rules = []

@@ -23,11 +23,17 @@ presentation::
 Emission is canonical (sorted, comment-free), so emitting is byte-stable
 and ``emit(parse(text))`` is the canonical reformatting of ``text``.
 
+Every source argument is a file or a ``gallery:<name>`` entry, resolved
+in one place (``_load``).  Wherever a machine is wanted, a table, as a
+file or a gallery entry, stands for its right-context Mealy machine.
+
 Reports are key trees rendered either as ``path = value`` lines in
 deterministic tree order or as JSON (``--json``).  Exit codes: 0 success
 or predicate true, 1 predicate false, 2 input or format error (a word
-reaching two distinct normal words, or none, included), 3 search budget
-exhausted.  The ``GARNORM_BUDGET`` environment variable sets the node
+reaching two distinct normal words, or none, and a file that cannot be
+read or is not UTF-8 included), 3 search budget exhausted (also
+``gallery finite:Z/<n>`` when its n² products exceed the default node
+budget).  The ``GARNORM_BUDGET`` environment variable sets the node
 budget of every command (``garnorm.node_budget``).
 Words on the command line are space-separated symbol names in a single
 argument; over single-character alphabets an unspaced word like ``110`` is
@@ -56,7 +62,7 @@ from .core import (
     node_budget,
 )
 from .gallery import gallery
-from .greedy import PresentedMonoid, greedy_table, make_family, family_unit
+from .greedy import FamilyElement, PresentedMonoid, family_unit, greedy_table
 from .machines import MealyMachine, build_mealy, build_thurston, dual
 
 
@@ -236,17 +242,17 @@ def parse_presentation(text: str):
                     raise ParseError(
                         lineno, "at most one family element may have an empty representative"
                     )
-                rep_text = ""
+                rep = Word()
             else:
-                _letters(lineno, atoms, words, "atom")
-                rep_text = " ".join(words)
-            family_entries.append((name, rep_text))
+                rep = Word(_letters(lineno, atoms, words, "atom"))
+            family_entries.append((name, rep))
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
     if atoms is None:
         raise ParseError(1, "missing atoms line")
     monoid = PresentedMonoid(atoms, tuple(relations))
-    family = make_family(atoms, family_entries)
+    names = Alphabet(name for name, _ in family_entries)
+    family = tuple(FamilyElement(sym, rep) for sym, (_, rep) in zip(names, family_entries))
     return monoid, family, family_unit(family)
 
 
@@ -369,53 +375,35 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GarnormError(f"cannot read {path!r}: {exc}") from None
 
 
-def _gallery_part(name: str, part: str):
-    """The table, machine or presentation of a gallery entry; an entry with
-    a table but no machine stands for the table's right-context
-    transducer."""
-    entry = gallery(name)
-    if part == "machine" and entry.machine is None and entry.table is not None:
-        return build_mealy(entry.table)
-    value = getattr(entry, part)
-    if value is None:
-        raise GarnormError(f"gallery entry {entry.name!r} has no {part}")
+def _load(source: str, part: str):
+    """The ``part`` ("table", "machine" or "presentation") that ``source``
+    names: a file or a ``gallery:<name>`` entry.  Wherever a machine is
+    wanted, a table stands for its right-context Mealy machine; a file is
+    then read as the kind its first directive starts."""
+    if source.startswith("gallery:"):
+        entry = gallery(source[len("gallery:") :])
+        value = getattr(entry, part)
+        if value is None and part == "machine":
+            value = entry.table
+        if value is None:
+            raise GarnormError(f"gallery entry {entry.name!r} has no {part}")
+    else:
+        text = _read(source)
+        if part != "machine":
+            return (parse_table if part == "table" else parse_presentation)(text)
+        head = next((tokens[0] for _, tokens in _directive_lines(text)), None)
+        if head == "states":
+            return parse_machine(text)
+        if head != "alphabet":
+            raise GarnormError(f"{source!r} is neither a table nor a machine file")
+        value = parse_table(text)
+    if part == "machine" and isinstance(value, NormTable):
+        return build_mealy(value)
     return value
-
-
-def _load_table(source: str) -> NormTable:
-    if source.startswith("gallery:"):
-        return _gallery_part(source[len("gallery:") :], "table")
-    return parse_table(_read(source))
-
-
-def _sniff(text: str) -> str:
-    for _, tokens in _directive_lines(text):
-        return {"alphabet": "table", "states": "machine", "atoms": "presentation"}.get(
-            tokens[0], "unknown"
-        )
-    return "unknown"
-
-
-def _load_machine(source: str) -> MealyMachine:
-    if source.startswith("gallery:"):
-        return _gallery_part(source[len("gallery:") :], "machine")
-    text = _read(source)
-    kind = _sniff(text)
-    if kind == "table":
-        return build_mealy(parse_table(text))
-    if kind == "machine":
-        return parse_machine(text)
-    raise GarnormError(f"{source!r} is neither a table nor a machine file")
-
-
-def _load_presentation(source: str):
-    if source.startswith("gallery:"):
-        return _gallery_part(source[len("gallery:") :], "presentation")
-    return parse_presentation(_read(source))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +422,7 @@ def _truncate(items: list, limit: int = 10) -> list:
 
 
 def _cmd_check(args) -> int:
-    table = _load_table(args.table)
+    table = _load(args.table, "table")
     report = core.verify_normalisation(table, max_len=args.max_len)
     tree = {
         "alphabet": " ".join(table.alphabet.names()),
@@ -470,16 +458,12 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _coordinate(value) -> int | str:
-    return value if isinstance(value, int) else "Unbounded"
-
-
 def _cmd_breadth(args) -> int:
-    table = _load_table(args.table)
+    table = _load(args.table, "table")
     b = core.breadth(table)
     tree = {
-        "d": _coordinate(b.d),
-        "p": _coordinate(b.p),
+        "d": b.d,
+        "p": b.p,
         "d_witness": str(b.d_witness),
         "p_witness": str(b.p_witness),
     }
@@ -488,7 +472,7 @@ def _cmd_breadth(args) -> int:
 
 
 def _cmd_home(args) -> int:
-    table = _load_table(args.table)
+    table = _load(args.table, "table")
     b = core.breadth(table)
     reasons = core.home_failures(b)
     verdict = not reasons
@@ -496,8 +480,8 @@ def _cmd_home(args) -> int:
         args,
         {
             "condition_home": verdict,
-            "d": _coordinate(b.d),
-            "p": _coordinate(b.p),
+            "d": b.d,
+            "p": b.p,
             "reasons": reasons,
         },
     )
@@ -505,7 +489,7 @@ def _cmd_home(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    table = _load_table(args.table)
+    table = _load(args.table, "table")
     w = table.alphabet.word(args.word, compact=args.compact)
     nf = core.normalize(table, w)
     _print_report(args, {"input": _render_word(w), "normal": _render_word(nf)})
@@ -513,22 +497,22 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_mealy(args) -> int:
-    sys.stdout.write(emit_machine(build_mealy(_load_table(args.table))))
+    sys.stdout.write(emit_machine(build_mealy(_load(args.table, "table"))))
     return 0
 
 
 def _cmd_thurston(args) -> int:
-    sys.stdout.write(emit_machine(build_thurston(_load_table(args.table))))
+    sys.stdout.write(emit_machine(build_thurston(_load(args.table, "table"))))
     return 0
 
 
 def _cmd_dual(args) -> int:
-    sys.stdout.write(emit_machine(dual(_load_machine(args.machine))))
+    sys.stdout.write(emit_machine(dual(_load(args.machine, "machine"))))
     return 0
 
 
 def _cmd_run(args) -> int:
-    m = _load_machine(args.machine)
+    m = _load(args.machine, "machine")
     w = m.alphabet.word(args.word, compact=args.compact)
     out, final = machines.run(m, args.state, w)
     _print_report(args, {"output": _render_word(out), "final": final.name})
@@ -536,7 +520,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
-    m = _load_machine(args.machine)
+    m = _load(args.machine, "machine")
     w = m.alphabet.word(args.word, compact=args.compact)
     result = machines.numeration_iterate(m, args.state, w, args.steps)
     tree = {
@@ -551,7 +535,7 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_equal(args) -> int:
-    m = _load_machine(args.source)
+    m = _load(args.source, "machine")
     u = m.states.word(args.left, compact=args.compact)
     v = m.states.word(args.right, compact=args.compact)
     witness = machines.distinguishing_word(m, u, v)
@@ -563,14 +547,14 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    m = _load_machine(args.machine)
+    m = _load(args.machine, "machine")
     counts = machines.growth(m, max_len=args.max)
     _print_report(args, {"growth": counts})
     return 0
 
 
 def _cmd_greedy(args) -> int:
-    monoid, family, unit = _load_presentation(args.presentation)
+    monoid, family, unit = _load(args.presentation, "presentation")
     sys.stdout.write(emit_table(greedy_table(monoid, family, unit)))
     return 0
 
@@ -579,7 +563,7 @@ def _cmd_gallery(args) -> int:
     emit = args.emit
     if emit == "auto":
         emit = "table" if gallery(args.name).table is not None else "machine"
-    part = _gallery_part(args.name, emit)
+    part = _load("gallery:" + args.name, emit)
     if emit == "table":
         sys.stdout.write(emit_table(part))
     elif emit == "machine":
@@ -591,7 +575,7 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    sys.stdout.write(export_dot(_load_machine(args.source)))
+    sys.stdout.write(export_dot(_load(args.source, "machine")))
     return 0
 
 

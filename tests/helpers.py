@@ -425,8 +425,14 @@ def sweep_thurston(t, w: Word, max_sweeps: int | None = None) -> Word:
         raise GarnormError("sweeping requires a machine whose states are its letters")
     if len(w) == 0:
         raise GarnormError("cannot normalise the empty word")
-    ids = list(t.alphabet.ids(w))
-    pairs, g = t._pairs, len(t.alphabet)
+    ids = _swept_ids(t._pairs, t.alphabet, list(t.alphabet.ids(w)), max_sweeps)
+    return _word_from_ids(t.alphabet, ids)
+
+
+def _swept_ids(pairs, alphabet, ids: list[int], max_sweeps: int | None = None) -> list[int]:
+    """The sweeps of :func:`sweep_thurston` on the letter ids ``ids``, a
+    nonempty list over ``alphabet``, with its errors."""
+    g, start = len(alphabet), ids
     seen = {tuple(ids)}
     error = NotNormalising
     for _ in itertools.count() if max_sweeps is None else range(max_sweeps):
@@ -434,14 +440,14 @@ def sweep_thurston(t, w: Word, max_sweeps: int | None = None) -> Word:
         if swept == ids:
             break
         if tuple(swept) in seen:
-            raise NotNormalising(f"sweeps of '{w}' cycle")
+            raise NotNormalising(f"sweeps of '{_word_from_ids(alphabet, start)}' cycle")
         seen.add(tuple(swept))
         ids = swept
     else:
         error = BudgetExhausted  # max_sweeps ran out
     if not _is_normal_ids(pairs, g, ids):
-        raise error(f"sweeps of '{w}' reach no normal word")
-    return _word_from_ids(t.alphabet, ids)
+        raise error(f"sweeps of '{_word_from_ids(alphabet, start)}' reach no normal word")
+    return ids
 
 
 @lru_cache(maxsize=None)
@@ -450,10 +456,15 @@ def swept_gallery_forms(name: str, max_len: int) -> bytes:
     transducer of gallery table ``name`` reach (:func:`sweep_thurston`)
     from every word of length 1 to ``max_len``, back to back in
     :func:`all_words` order.  Cached, so every test that checks a kernel
-    against these sweeps sweeps each word once."""
-    table = gallery(name).table
-    th, al = build_thurston(table), table.alphabet
-    return b"".join(bytes(al.ids(sweep_thurston(th, w))) for w in all_words(al, max_len))
+    against these sweeps sweeps each word once; the words are swept as id
+    tuples, with no ``Word`` made for them."""
+    th = build_thurston(gallery(name).table)
+    g = len(th.alphabet)
+    return b"".join(
+        bytes(_swept_ids(th._pairs, th.alphabet, list(ids)))
+        for n in range(1, max_len + 1)
+        for ids in itertools.product(range(g), repeat=n)
+    )
 
 
 def changing_sweeps(t, ids) -> int:

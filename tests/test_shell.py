@@ -3,7 +3,15 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from garnorm import Alphabet, GarnormError, NormTable, ParseError, gallery, gallery_tables
+from garnorm import (
+    Alphabet,
+    BudgetExhausted,
+    GarnormError,
+    NormTable,
+    ParseError,
+    gallery,
+    gallery_tables,
+)
 from garnorm.core import _identity_pairs
 from garnorm.greedy import PresentedMonoid, greedy_table, make_family
 from garnorm.machines import build_mealy
@@ -605,3 +613,58 @@ def test_cli_report_witnesses_round_trip(capsys):
         if line.startswith("d_witness") or line.startswith("p_witness"):
             text = line.split(" = ", 1)[1]
             assert len(table.alphabet.word(text)) == 3
+
+
+def test_cli_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.table"
+    bad.write_bytes(b"alphabet a b\nrule a b -> b \xff\n")
+    code, out, err = run_cli(capsys, "breadth", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {str(bad)!r}: ")
+    assert "can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("run", ["a", "b ab D"]),
+        ("iterate", ["a", "b ab", "--steps", "3"]),
+        ("equal", ["a b a", "b a b"]),
+        ("equal", ["a b", "b a"]),
+        ("growth", ["--max", "3"]),
+        ("dot", []),
+        ("dual", []),
+    ],
+)
+def test_a_table_stands_for_its_machine_from_a_file_as_from_the_gallery(
+    tmp_path, capsys, command, args
+):
+    """Every machine command reads braid3's table file as it reads
+    gallery:braid3, and refuses a presentation file with exit code 2."""
+    monoid, family, _ = gallery("braid3").presentation
+    table = tmp_path / "braid3.table"
+    table.write_text(emit_table(gallery("braid3").table))
+    presentation = tmp_path / "braid3.pres"
+    presentation.write_text(emit_presentation(monoid, family))
+
+    code, out, err = run_cli(capsys, command, "gallery:braid3", *args)
+    assert code in (0, 1) and out and not err
+    assert run_cli(capsys, command, str(table), *args) == (code, out, err)
+
+    code, out, err = run_cli(capsys, command, str(presentation), *args)
+    assert code == 2 and out == ""
+    assert err == f"error: {str(presentation)!r} is neither a table nor a machine file\n"
+
+
+def test_finite_gallery_order_is_budgeted_before_allocation(capsys):
+    with pytest.raises(BudgetExhausted, match="the 100489 products of Z/317 exceed"):
+        gallery.__wrapped__("finite:Z/317")
+    for n in (2, 3, 8):
+        table = gallery.__wrapped__(f"finite:Z/{n}").table
+        syms = table.alphabet.symbols
+        assert [table.entry(a, b) for a in syms for b in syms] == [
+            (syms[0], syms[(i + j) % n]) for i in range(n) for j in range(n)
+        ]
+    code, out, err = run_cli(capsys, "gallery", "finite:Z/100000")
+    assert code == 3 and out == ""
+    assert err.startswith("error: the 10000000000 products of Z/100000 exceed the node budget")
