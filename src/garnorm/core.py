@@ -41,11 +41,11 @@ indexed ``a * g + b`` for the pair (a, b) over g letters.
 
 All values are immutable after construction and all operations are pure
 functions of their inputs and of the calling thread's node budget (see
-:func:`node_budget`), so concurrent read-only use is safe.  Two values are
-computed on first use and written once: a table's insertion kernel, its
-one verdict, with its padding letter, and the letters of a word built from
-ids.  Concurrent first uses compute equal values, so the unlocked writes
-are harmless.
+:func:`node_budget`), so concurrent read-only use is safe.  Three values are
+computed on first use and written once: a table's breadth; its insertion
+kernel, its one verdict, with its padding letter; and the letters of a word
+built from ids.  Concurrent first uses compute equal values, so the
+unlocked writes are harmless.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ import contextlib
 import contextvars
 import graphlib
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -400,7 +401,7 @@ class NormTable:
     and a total map on ordered pairs of letters (unlisted pairs are fixed).
     """
 
-    __slots__ = ("alphabet", "unit", "_pairs", "_pad", "_insert")
+    __slots__ = ("alphabet", "unit", "_pairs", "_pad", "_insert", "_breadth")
 
     def __init__(
         self,
@@ -423,6 +424,7 @@ class NormTable:
         self._pairs: tuple[tuple[int, int], ...] = tuple(pairs)
         self._pad: int | None = None  # see _inserter
         self._insert = None  # see _inserter
+        self._breadth: Breadth | None = None  # see breadth
 
     @classmethod
     def _of_pairs(cls, alphabet: Alphabet, pairs, unit: Symbol | None = None) -> "NormTable":
@@ -430,7 +432,7 @@ class NormTable:
         unit given as a symbol of ``alphabet`` or None."""
         t = cls.__new__(cls)
         t.alphabet, t.unit, t._pairs = alphabet, unit, pairs
-        t._pad, t._insert = None, None
+        t._pad, t._insert, t._breadth = None, None, None
         return t
 
     def _index(self, a: Symbol | str, b: Symbol | str) -> int:
@@ -509,7 +511,8 @@ class NormTable:
         on the other tables of class (3,4), finite breadth with d <= 3 and
         p <= 4.  Both take the pairs, the letter count, the word's ids and
         ``_pad``, the padding letter, which is None until the first call
-        runs :func:`breadth` and caches the kernel in ``_insert``."""
+        runs :func:`breadth`, which the table keeps, and caches the kernel
+        in ``_insert``."""
         if self._pad is None:
             insert = None
             if not self.idempotence_failures():
@@ -871,6 +874,22 @@ def _rewrite_analysis(table: NormTable, max_len: int):
     for a rule (a, b) -> (c, d).  Each word records the indices of at most
     two normal words in two flat lists of size g**n.
 
+    The table is quadratic, so a rewrite step touches one pair: the moves
+    undone in a word are those at its first pair followed by those undone
+    in its suffix one letter shorter.  So the offsets of every length-n
+    word form one list, ``offs``, built from the previous length's in
+    C-level list operations: each pair's offsets, scaled by g**(n-2) and
+    repeated over the g**(n-2) words that start with that pair, plus the
+    suffix's entry, the previous list repeated g times.  A word with no
+    offsets is labelled but never pushed.
+
+    The report does not depend on the order in which predecessors are read:
+    the walk from a normal word expands exactly the words that do not hold
+    its label yet and held fewer than two labels before it began, so a
+    word's labels are the least normal word reaching it and the next one.
+    The words given a second label are collected as they get it and then
+    sorted into code order.
+
     Each word is one node of the :func:`node_budget`: when the words of
     length 2..max_len outnumber it, :class:`BudgetExhausted` is raised
     before anything is allocated.
@@ -883,10 +902,9 @@ def _rewrite_analysis(table: NormTable, max_len: int):
             raise BudgetExhausted(
                 f"the {g}-letter words of length 2 to {max_len} exceed the node budget of {budget}"
             )
-    gg = g * g
     pairs = table._pairs
     # back[c*g + d]: the steps k - (c*g + d) of the pair codes k rewritten to (c, d)
-    back: list[list[int]] = [[] for _ in range(gg)]
+    back: list[list[int]] = [[] for _ in range(g * g)]
     for k, (c, d) in enumerate(pairs):
         if c * g + d != k:
             back[c * g + d].append(k - c * g - d)
@@ -895,41 +913,45 @@ def _rewrite_analysis(table: NormTable, max_len: int):
 
     confl, dead = [], []
     normals = list(range(g))
+    offs: list[tuple[int, ...]] = [()] * g
     for n in range(2, max_len + 1):
         normals = [w * g + b for w in normals for b in follow[w % g]]
-        steps = []
-        for i in range(n - 1):
-            shift = g ** (n - 2 - i)
-            steps.append((shift, [[d * shift for d in ds] for ds in back]))
+        shift = g ** (n - 2)
+        run = itertools.chain.from_iterable([tuple(d * shift for d in ds)] * shift for ds in back)
+        offs = list(map(operator.add, run, offs * g))
         first = [-1] * g**n
         second = [-1] * g**n
+        twice = []  # the words given a second label
         for j, nf in enumerate(normals):
             first[nf] = j
             stack = [nf]
             while stack:
                 w = stack.pop()
-                for shift, moves in steps:
-                    for d in moves[w // shift % gg]:
-                        v = w + d
-                        f = first[v]
-                        if f < 0:
-                            first[v] = j
-                        elif f == j or second[v] >= 0:
-                            continue
-                        else:
-                            second[v] = j
+                for d in offs[w]:
+                    v = w + d
+                    f = first[v]
+                    if f < 0:
+                        first[v] = j
+                    elif f == j or second[v] >= 0:
+                        continue
+                    else:
+                        second[v] = j
+                        twice.append(v)
+                    if offs[v]:
                         stack.append(v)
+        if not twice and -1 not in first:
+            continue
         # a code is decoded as its high and its low half of letters
         low = g ** (n // 2)
         highs = list(itertools.product(range(g), repeat=n - n // 2))
         lows = list(itertools.product(range(g), repeat=n // 2))
         word = lambda code: _word_from_ids(al, highs[code // low] + lows[code % low])
-        confl.extend(
-            (word(w), word(normals[first[w]]), word(normals[s]))
-            for w, s in enumerate(second)
-            if s >= 0
-        )
-        dead.extend(word(w) for w, f in enumerate(first) if f < 0)
+        twice.sort()
+        # each normal word of a witness is decoded once
+        labels = {*map(first.__getitem__, twice), *map(second.__getitem__, twice)}
+        normal = {j: word(normals[j]) for j in labels}
+        confl.extend((word(w), normal[first[w]], normal[second[w]]) for w in twice)
+        dead.extend(map(word, itertools.compress(range(g**n), map((-1).__eq__, first))))
     return confl, dead
 
 
@@ -975,9 +997,14 @@ def verify_normalisation(table: NormTable, max_len: int = 5) -> NormalisationRep
     Every other table, outside both classes, is searched backwards from the
     normal words of each length, which are built from those one letter
     shorter by appending each letter that forms a fixed pair with the last
-    one.  Each word searched costs one node of the :func:`node_budget`;
-    :class:`BudgetExhausted` is raised before the search when the words of
-    length 2..max_len outnumber it.
+    one.  The predecessors of a word come from one offset table per length:
+    the moves undone at its first pair, then those undone in its suffix,
+    read from the table one length shorter (see :func:`_rewrite_analysis`).
+    The witnesses do not depend on the order in which predecessors are
+    read: each is a word with the least normal word reaching it and the
+    next one.  Each word searched costs one node of the
+    :func:`node_budget`; :class:`BudgetExhausted` is raised before the
+    search when the words of length 2..max_len outnumber it.
     """
     if max_len < 3:
         raise GarnormError("max_len must be at least 3")
@@ -1066,7 +1093,13 @@ def breadth(table: NormTable) -> Breadth:
     |d - p| <= 1: after its first step, a walk of n steps goes on as the
     other walk from the word it reached, towards the same target, in n - 1
     steps.
+
+    The table keeps its breadth: the first call, usually the one
+    :meth:`NormTable._inserter` makes, computes it, and later calls return
+    the kept value.
     """
+    if table._breadth is not None:
+        return table._breadth
     table.require_idempotent()
     g = len(table.alphabet)
     pairs = table._pairs
@@ -1093,12 +1126,13 @@ def breadth(table: NormTable) -> Breadth:
             break
 
     (p_val, d_val), (p_wit, d_wit) = value, witness
-    return Breadth(
+    table._breadth = Breadth(
         d=d_val,
         p=p_val,
         d_witness=_word_from_ids(table.alphabet, d_wit),
         p_witness=_word_from_ids(table.alphabet, p_wit),
     )
+    return table._breadth
 
 
 def home_failures(b: Breadth) -> list[str]:

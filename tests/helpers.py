@@ -329,6 +329,65 @@ def on_rewrite_cycle(table: NormTable, w: Word) -> bool:
     return False
 
 
+def positional_rewrite_analysis(table: NormTable, max_len: int):
+    """The backward search over integer word codes as ``_rewrite_analysis``
+    ran it before it read one offset table per length: every word popped
+    scans its n - 1 positions, reading each pair code off the word code.
+
+    Returns (confluence_failures, dead) as words, with the same witnesses
+    and order; it reads no node budget.
+    """
+    g = len(table.alphabet)
+    gg = g * g
+    pairs = table._pairs
+    # back[c*g + d]: the steps k - (c*g + d) of the pair codes k rewritten to (c, d)
+    back: list[list[int]] = [[] for _ in range(gg)]
+    for k, (c, d) in enumerate(pairs):
+        if c * g + d != k:
+            back[c * g + d].append(k - c * g - d)
+    follow = [[b for b in range(g) if pairs[a * g + b] == (a, b)] for a in range(g)]
+    al = table.alphabet
+
+    confl, dead = [], []
+    normals = list(range(g))
+    for n in range(2, max_len + 1):
+        normals = [w * g + b for w in normals for b in follow[w % g]]
+        steps = []
+        for i in range(n - 1):
+            shift = g ** (n - 2 - i)
+            steps.append((shift, [[d * shift for d in ds] for ds in back]))
+        first = [-1] * g**n
+        second = [-1] * g**n
+        for j, nf in enumerate(normals):
+            first[nf] = j
+            stack = [nf]
+            while stack:
+                w = stack.pop()
+                for shift, moves in steps:
+                    for d in moves[w // shift % gg]:
+                        v = w + d
+                        f = first[v]
+                        if f < 0:
+                            first[v] = j
+                        elif f == j or second[v] >= 0:
+                            continue
+                        else:
+                            second[v] = j
+                        stack.append(v)
+        # a code is decoded as its high and its low half of letters
+        low = g ** (n // 2)
+        highs = list(itertools.product(range(g), repeat=n - n // 2))
+        lows = list(itertools.product(range(g), repeat=n // 2))
+        word = lambda code: _word_from_ids(al, highs[code // low] + lows[code % low])
+        confl.extend(
+            (word(w), word(normals[first[w]]), word(normals[s]))
+            for w, s in enumerate(second)
+            if s >= 0
+        )
+        dead.extend(word(w) for w, f in enumerate(first) if f < 0)
+    return confl, dead
+
+
 def dict_rewrite_analysis(table: NormTable, max_len: int):
     """Backward search from the normal words over words as tuples, with one
     dict entry per live word and the reverse-rule map rebuilt per length.

@@ -5,14 +5,18 @@ tables with an insertion kernel: the idempotent tables that pass
 ``condition_home``, and those of class (3,4), whose mirror passes it.  It
 runs the backward search ``_rewrite_analysis`` on integer word codes for
 every other table.  The search must find nothing on the certified tables,
-and it must equal the dict-based search it replaced, kept in ``helpers``
-as the oracle, witnesses and order included.  On the same random tables, ``normalize``
-must agree with the exhaustive closure ``helpers.brute_normal_forms``.
+and it must equal the two searches it replaced, kept in ``helpers`` as
+oracles, witnesses and order included: the dict-based search, and the scan
+of every position of every word over the same integer codes.  On the same
+random tables, ``normalize`` must agree with the exhaustive closure
+``helpers.brute_normal_forms``.
 """
 
 import itertools
 import random
+import tracemalloc
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from garnorm import (
@@ -23,12 +27,13 @@ from garnorm import (
     NotNormalising,
     gallery,
     gallery_tables,
+    node_budget,
     normalize,
     verify_normalisation,
 )
 from garnorm import core
 from garnorm.core import NormalisationReport, _rewrite_analysis, _word_from_ids
-from helpers import brute_normal_forms, dict_rewrite_analysis
+from helpers import brute_normal_forms, dict_rewrite_analysis, positional_rewrite_analysis
 from garnorm.shell import parse_table
 from test_incremental import class_34_tables, random_idempotent_table
 from test_verify import SEARCHED_TABLE, random_free_table
@@ -102,13 +107,14 @@ def test_dense_search_matches_dict_oracle():
 
 
 @st.composite
-def pair_maps(draw):
-    """A pair map on 2-4 letters, idempotent or not, with or without a unit
-    1 that sends (x, 1) to (1, x) and fixes (1, x)."""
-    g = draw(st.integers(2, 4))
+def pair_maps(draw, max_letters: int = 4):
+    """A pair map on 2-``max_letters`` letters, at most 5, idempotent or
+    not, with or without a unit 1 that sends (x, 1) to (1, x) and fixes
+    (1, x)."""
+    g = draw(st.integers(2, max_letters))
     with_unit = draw(st.booleans())
     idempotent = draw(st.booleans())
-    names = ("1",) * with_unit + tuple("abcd")[: g - with_unit]
+    names = ("1",) * with_unit + tuple("abcde")[: g - with_unit]
     pairs = list(itertools.product(range(g), repeat=2))
     free = [p for p in pairs if not (with_unit and 0 in p)]
     rules = {(x, 0): (0, x) for x in range(1, g)} if with_unit else {}
@@ -133,6 +139,81 @@ def test_verify_normalisation_matches_dict_oracle(table):
         not_confluent=confl,
     )
     assert verify_normalisation(table, 4) == want
+
+
+def test_offset_search_matches_positional_oracle():
+    """The search that reads one offset table per length against the scan
+    of every position it replaced, ``helpers.positional_rewrite_analysis``,
+    with ``==`` on the reports, witnesses and order included, on pair maps
+    of 2-5 letters at ``max_len`` 3-6.  ``verify_normalisation`` gives the
+    same report, empty on the tables it certifies without a search.  Every
+    letter count and length, and both kinds of failure, must be drawn."""
+    seen = {"letters": set(), "max_len": set(), "not_confluent": 0, "dead": 0}
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(pair_maps(max_letters=5), st.integers(3, 6))
+    def check(table, max_len):
+        confl, dead = positional_rewrite_analysis(table, max_len)
+        assert _rewrite_analysis(table, max_len) == (confl, dead)
+        assert verify_normalisation(table, max_len) == NormalisationReport(
+            max_len=max_len,
+            idempotence_failures=table.idempotence_failures(),
+            not_normalising=dead,
+            not_confluent=confl,
+        )
+        seen["letters"].add(len(table.alphabet))
+        seen["max_len"].add(max_len)
+        seen["not_confluent"] += bool(confl)
+        seen["dead"] += bool(dead)
+
+    check()
+    assert seen["letters"] == {2, 3, 4, 5} and seen["max_len"] == {3, 4, 5, 6}, seen
+    assert seen["not_confluent"] and seen["dead"], seen
+
+
+def test_offset_search_on_a_dead_free_table_and_one_letter():
+    # (a, a) is the only fixed pair and no pair rewrites to it, so a^n is
+    # the one normal word of each length and every other word is dead
+    names = "abc"
+    cycle = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+    rules = [
+        ((names[a], names[b]), (names[c], names[d]))
+        for (a, b), (c, d) in zip(cycle, cycle[1:] + cycle[:1])
+    ]
+    dead_table = NormTable(Alphabet(names), rules)
+    confl, dead = _rewrite_analysis(dead_table, 7)
+    assert (confl, dead) == positional_rewrite_analysis(dead_table, 7)
+    assert confl == [] and len(dead) == sum(3**n - 1 for n in range(2, 8))
+    assert all(set(w.names()) != {"a"} for w in dead)
+    # on one letter the only pair is fixed and every word is normal
+    one = NormTable(Alphabet("a"))
+    assert _rewrite_analysis(one, 9) == positional_rewrite_analysis(one, 9) == ([], [])
+
+
+#: A 5-letter table outside both insertion classes: ``SEARCHED_TABLE`` with
+#: two more letters, c and d, and the rule d c -> c d.
+SEARCHED_FIVE = SEARCHED_TABLE.replace("alphabet 1 a b", "alphabet 1 a b c d") + (
+    "rule c 1 -> 1 c\nrule d 1 -> 1 d\nrule d c -> c d\n"
+)
+
+
+def test_backward_search_budget_edge_on_five_letters():
+    # 5^2 + ... + 5^7 = 97 650 words: a budget of exactly that runs the
+    # search, one less refuses it before the 5^7-entry label lists exist
+    table = parse_table(SEARCHED_FIVE)
+    assert table._inserter() is None and len(table.alphabet) == 5
+    words = sum(5**n for n in range(2, 8))
+    with node_budget(words):
+        assert verify_normalisation(table, 7).ok
+    tracemalloc.start()
+    try:
+        refused = pytest.raises(BudgetExhausted, match=f"budget of {words - 1}$")
+        with node_budget(words - 1), refused:
+            verify_normalisation(table, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5**7 * 8, peak
 
 
 def test_normalize_matches_brute_force_on_random_tables(record_testsuite_property):
