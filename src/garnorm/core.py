@@ -68,8 +68,9 @@ _NODE_BUDGET = contextvars.ContextVar("node_budget", default=DEFAULT_NODE_BUDGET
 def node_budget(n: int) -> Iterator[int]:
     """Cap every exhaustive search that starts in the block at ``n`` nodes.
     Blocks nest; outside them, and in threads started inside them, the cap
-    is ``DEFAULT_NODE_BUDGET``.  ``n`` must be a positive integer."""
-    if not (isinstance(n, int) and n > 0):
+    is ``DEFAULT_NODE_BUDGET``.  ``n`` must be a positive integer, not a
+    bool."""
+    if not (isinstance(n, int) and not isinstance(n, bool) and n > 0):
         raise GarnormError(f"node budget must be a positive integer, got {n!r}")
     token = _NODE_BUDGET.set(n)
     try:

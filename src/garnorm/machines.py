@@ -55,7 +55,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import (
+    _NODE_BUDGET,
     Alphabet,
+    BudgetExhausted,
     GarnormError,
     NormTable,
     Symbol,
@@ -401,16 +403,29 @@ def _levels(m: MealyMachine, length: int, reps=None):
     then b reads o.  So the row entry of t + (b,) is b's output on o, and
     the position of the reduction of s + (b's next state on o).  With
     every pair its own representative, no successor needs a reduction.
+
+    Level k + 1 has at most q times the tuples of level k, each a node of
+    the :func:`node_budget`: :class:`BudgetExhausted` is raised before a
+    level whose bound exceeds it is built.  The level that
+    :func:`_pair_reps` builds is cached on the machine, so it is not
+    charged: no cached value depends on the budget it was first asked
+    under.
     """
     if length < 1:
         return
     q, s = len(m.states), len(m.alphabet)
+    budget = _NODE_BUDGET.get() if reps is None else float("inf")
     out, nxt = zip(*m._pairs) if m._pairs else ((), ())
     out = [out[x * s:(x + 1) * s] for x in range(q)]
     nxt = [nxt[x * s:(x + 1) * s] for x in range(q)]
     tuples, outs, succs = [(x,) for x in range(q)], out, nxt
     yield tuples, outs, succs
-    for _ in range(length - 1):
+    for k in range(2, length + 1):
+        if len(tuples) * q > budget:
+            raise BudgetExhausted(
+                f"level {k} of up to {len(tuples) * q} state tuples exceeds the node budget"
+                f" of {budget}"
+            )
         reps = _pair_reps(m) if reps is None else reps
         level = [(r, b) for r, t in enumerate(tuples) for b in range(q)
                  if reps[t[-1] * q + b] == (t[-1], b)]
@@ -452,9 +467,14 @@ def minimize(m: MealyMachine) -> ActionClassPartition:
 def tuple_action_classes(m: MealyMachine, length: int) -> dict[tuple[Symbol, ...], int]:
     """Action-equality classes of all state words of exactly ``length``,
     keyed by state tuple in ``itertools.product`` order and numbered in
-    order of first occurrence."""
+    order of first occurrence.  Each key is a node of the
+    :func:`node_budget`: :class:`BudgetExhausted` is raised before the
+    q**length keys are built when they exceed it."""
     if length < 1:
         raise GarnormError("length must be at least 1")
+    keys, budget = len(m.states) ** length, _NODE_BUDGET.get()
+    if keys > budget:
+        raise BudgetExhausted(f"the {keys} state tuples exceed the node budget of {budget}")
     *_, (reduced, outs, succs) = _levels(m, length)
     cls = dict(zip(reduced, _refine(outs, succs)))
     syms = m.states.symbols
@@ -490,7 +510,9 @@ def growth(m: MealyMachine, max_len: int = 5) -> list[int]:
     A machine that passes the gate below gets the number of normal words
     of length k+1, counted as the walks of k steps through the pairs its
     table fixes: O(k * g**2) integer work.  Every other machine refines
-    its levels of reduced state tuples (see :func:`_levels`).
+    its levels of reduced state tuples (see :func:`_levels`), and raises
+    :class:`BudgetExhausted` before a level could outgrow the
+    :func:`node_budget`.  A negative ``max_len`` is a :class:`GarnormError`.
 
     The gate reads only the machine's own pairs, so a machine built here
     and one read from a file take the same route.  Let T be the table
@@ -517,6 +539,8 @@ def growth(m: MealyMachine, max_len: int = 5) -> list[int]:
     on {a, b} (every pair to a a) is home with no unit: one class at each
     length against 2, 1, 1 walks.
     """
+    if max_len < 0:
+        raise GarnormError(f"max_len must be at least 0, got {max_len}")
     fixed = _fixed_pairs(m)
     if not fixed:
         return [len(set(_refine(outs, succs))) for _, outs, succs in _levels(m, max_len)]

@@ -27,6 +27,13 @@ Every source argument is a file or a ``gallery:<name>`` entry, resolved
 in one place (``_load``).  Wherever a machine is wanted, a table, as a
 file or a gallery entry, stands for its right-context Mealy machine.
 
+The subcommands are one table, ``_COMMANDS``, of help texts, source kinds,
+arguments and functions from (loaded source, args) to the text to emit or
+a report tree and exit code.  ``_build_parser`` reads the subparsers off
+it; ``main`` alone loads the source, runs the command under the node
+budget, maps errors to exit codes and writes the output.  Every command
+accepts ``--json``; those that emit a file ignore it.
+
 Reports are key trees rendered either as ``path = value`` lines in
 deterministic tree order or as JSON (``--json``).  Exit codes: 0 success
 or predicate true, 1 predicate false, 2 input or format error (a word
@@ -46,6 +53,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import core, machines
 from .core import (
@@ -410,19 +418,13 @@ def _load(source: str, part: str):
 # commands
 
 
-def _print_report(args, tree: dict) -> None:
-    report = Report(tree)
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
-
-
 def _truncate(items: list, limit: int = 10) -> list:
     if len(items) <= limit:
         return items
     return items[:limit] + [f"(+{len(items) - limit} more)"]
 
 
-def _cmd_check(args) -> int:
-    table = _load(args.table, "table")
+def _check(table, args):
     report = core.verify_normalisation(table, max_len=args.max_len)
     tree = {
         "alphabet": " ".join(table.alphabet.names()),
@@ -454,12 +456,10 @@ def _cmd_check(args) -> int:
         failures = core.unit_condition_failures(table)
         tree["unit"] = {"name": table.unit.name, "ok": not failures, "failures": failures}
         ok = ok and not failures
-    _print_report(args, tree)
-    return 0 if ok else 1
+    return tree, 0 if ok else 1
 
 
-def _cmd_breadth(args) -> int:
-    table = _load(args.table, "table")
+def _breadth(table, args):
     b = core.breadth(table)
     tree = {
         "d": b.d,
@@ -467,60 +467,35 @@ def _cmd_breadth(args) -> int:
         "d_witness": str(b.d_witness),
         "p_witness": str(b.p_witness),
     }
-    _print_report(args, tree)
-    return 0
+    return tree, 0
 
 
-def _cmd_home(args) -> int:
-    table = _load(args.table, "table")
+def _home(table, args):
     b = core.breadth(table)
     reasons = core.home_failures(b)
     verdict = not reasons
-    _print_report(
-        args,
-        {
-            "condition_home": verdict,
-            "d": b.d,
-            "p": b.p,
-            "reasons": reasons,
-        },
-    )
-    return 0 if verdict else 1
+    tree = {
+        "condition_home": verdict,
+        "d": b.d,
+        "p": b.p,
+        "reasons": reasons,
+    }
+    return tree, 0 if verdict else 1
 
 
-def _cmd_normalize(args) -> int:
-    table = _load(args.table, "table")
+def _normalize(table, args):
     w = table.alphabet.word(args.word, compact=args.compact)
     nf = core.normalize(table, w)
-    _print_report(args, {"input": _render_word(w), "normal": _render_word(nf)})
-    return 0
+    return {"input": _render_word(w), "normal": _render_word(nf)}, 0
 
 
-def _cmd_mealy(args) -> int:
-    sys.stdout.write(emit_machine(build_mealy(_load(args.table, "table"))))
-    return 0
-
-
-def _cmd_thurston(args) -> int:
-    sys.stdout.write(emit_machine(build_thurston(_load(args.table, "table"))))
-    return 0
-
-
-def _cmd_dual(args) -> int:
-    sys.stdout.write(emit_machine(dual(_load(args.machine, "machine"))))
-    return 0
-
-
-def _cmd_run(args) -> int:
-    m = _load(args.machine, "machine")
+def _run(m, args):
     w = m.alphabet.word(args.word, compact=args.compact)
     out, final = machines.run(m, args.state, w)
-    _print_report(args, {"output": _render_word(out), "final": final.name})
-    return 0
+    return {"output": _render_word(out), "final": final.name}, 0
 
 
-def _cmd_iterate(args) -> int:
-    m = _load(args.machine, "machine")
+def _iterate(m, args):
     w = m.alphabet.word(args.word, compact=args.compact)
     result = machines.numeration_iterate(m, args.state, w, args.steps)
     tree = {
@@ -530,53 +505,77 @@ def _cmd_iterate(args) -> int:
     }
     if args.mode == "sweep":
         tree["words"] = [_render_word(x) for x in result.words]
-    _print_report(args, tree)
-    return 0
+    return tree, 0
 
 
-def _cmd_equal(args) -> int:
-    m = _load(args.source, "machine")
+def _equal(m, args):
     u = m.states.word(args.left, compact=args.compact)
     v = m.states.word(args.right, compact=args.compact)
     witness = machines.distinguishing_word(m, u, v)
     tree = {"equal": witness is None}
     if witness is not None:
         tree["witness"] = _render_word(witness)
-    _print_report(args, tree)
-    return 0 if witness is None else 1
+    return tree, 0 if witness is None else 1
 
 
-def _cmd_growth(args) -> int:
-    m = _load(args.machine, "machine")
-    counts = machines.growth(m, max_len=args.max)
-    _print_report(args, {"growth": counts})
-    return 0
-
-
-def _cmd_greedy(args) -> int:
-    monoid, family, unit = _load(args.presentation, "presentation")
-    sys.stdout.write(emit_table(greedy_table(monoid, family, unit)))
-    return 0
-
-
-def _cmd_gallery(args) -> int:
+def _gallery(name, args):
     emit = args.emit
     if emit == "auto":
-        emit = "table" if gallery(args.name).table is not None else "machine"
-    part = _load("gallery:" + args.name, emit)
+        emit = "table" if gallery(name).table is not None else "machine"
+    part = _load("gallery:" + name, emit)
     if emit == "table":
-        sys.stdout.write(emit_table(part))
-    elif emit == "machine":
-        sys.stdout.write(emit_machine(part))
-    else:  # presentation
-        monoid, family, _ = part
-        sys.stdout.write(emit_presentation(monoid, family))
-    return 0
+        return emit_table(part)
+    if emit == "machine":
+        return emit_machine(part)
+    monoid, family, _ = part  # presentation
+    return emit_presentation(monoid, family)
 
 
-def _cmd_dot(args) -> int:
-    sys.stdout.write(export_dot(_load(args.source, "machine")))
-    return 0
+class _Command(NamedTuple):
+    help: str
+    kind: str  # the source's part for _load, or "name": a gallery entry's name
+    run: Callable  # (source, args) -> text to emit, or (report tree, exit code)
+    arguments: tuple = ()  # (name, add_argument keywords) after the source
+    source: tuple = ()  # the source's (name, keywords) when not (kind, {})
+
+
+_COMPACT = ("--compact", {"action": "store_true"})
+
+_COMMANDS = {
+    "check": _Command("verify the normalisation axioms and the unit condition", "table", _check,
+                      (("--max-len", {"type": int, "default": 5, "dest": "max_len"}),)),
+    "breadth": _Command("alternating-sequence breadth of a table", "table", _breadth),
+    "home": _Command("test the bounded-breadth condition (d <= 4, p <= 3)", "table", _home),
+    "normalize": _Command("normal form of a word", "table", _normalize, (("word", {}), _COMPACT)),
+    "mealy": _Command("emit the right-context transducer of a table", "table",
+                      lambda table, args: emit_machine(build_mealy(table))),
+    "thurston": _Command("emit the sweeping transducer of a table", "table",
+                         lambda table, args: emit_machine(build_thurston(table))),
+    "dual": _Command("emit the dual of a machine", "machine",
+                     lambda m, args: emit_machine(dual(m))),
+    "run": _Command("run a machine from a state over a word", "machine", _run,
+                    (("state", {}), ("word", {}), _COMPACT)),
+    "iterate": _Command(
+        "iterated runs, collecting arrival states", "machine", _iterate,
+        (("state", {}), ("word", {}), ("--steps", {"type": int, "required": True}),
+         ("--mode", {"choices": ("collect", "sweep"), "default": "collect",
+                     "help": "collect: arrival states only; sweep: also list each working word"}),
+         _COMPACT),
+    ),
+    "equal": _Command("decide equality of two state-word actions", "machine", _equal,
+                      (("left", {}), ("right", {}), _COMPACT),
+                      ("source", {"help": "table or machine (file or gallery:<name>)"})),
+    "growth": _Command("action-class counts by state-word length", "machine",
+                       lambda m, args: ({"growth": machines.growth(m, max_len=args.max)}, 0),
+                       (("--max", {"type": int, "default": 5}),)),
+    "greedy": _Command("emit the greedy table of a presented monoid", "presentation",
+                       lambda presented, args: emit_table(greedy_table(*presented))),
+    "gallery": _Command("emit a gallery entry", "name", _gallery,
+                        (("--emit", {"choices": ("auto", "table", "machine", "presentation"),
+                                     "default": "auto"}),)),
+    "dot": _Command("DOT rendering of a machine (or of a table's transducer)", "machine",
+                    lambda m, args: export_dot(m), source=("source", {})),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -589,78 +588,36 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Normalisation tables, Mealy transducers, and greedy normal forms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_, *positionals):
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
-        for arg in positionals:
-            p.add_argument(arg)
-        return p
-
-    p = add("check", _cmd_check, "verify the normalisation axioms and the unit condition", "table")
-    p.add_argument("--max-len", type=int, default=5, dest="max_len")
-
-    add("breadth", _cmd_breadth, "alternating-sequence breadth of a table", "table")
-
-    add("home", _cmd_home, "test the bounded-breadth condition (d <= 4, p <= 3)", "table")
-
-    p = add("normalize", _cmd_normalize, "normal form of a word", "table", "word")
-    p.add_argument("--compact", action="store_true")
-
-    add("mealy", _cmd_mealy, "emit the right-context transducer of a table", "table")
-
-    add("thurston", _cmd_thurston, "emit the sweeping transducer of a table", "table")
-
-    add("dual", _cmd_dual, "emit the dual of a machine", "machine")
-
-    p = add("run", _cmd_run, "run a machine from a state over a word", "machine", "state", "word")
-    p.add_argument("--compact", action="store_true")
-
-    p = add(
-        "iterate", _cmd_iterate, "iterated runs, collecting arrival states",
-        "machine", "state", "word",
-    )
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument(
-        "--mode",
-        choices=("collect", "sweep"),
-        default="collect",
-        help="collect: arrival states only; sweep: also list each working word",
-    )
-    p.add_argument("--compact", action="store_true")
-
-    p = add("equal", _cmd_equal, "decide equality of two state-word actions")
-    p.add_argument("source", help="table or machine (file or gallery:<name>)")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--compact", action="store_true")
-
-    p = add("growth", _cmd_growth, "action-class counts by state-word length", "machine")
-    p.add_argument("--max", type=int, default=5)
-
-    add("greedy", _cmd_greedy, "emit the greedy table of a presented monoid", "presentation")
-
-    p = add("gallery", _cmd_gallery, "emit a gallery entry", "name")
-    p.add_argument("--emit", choices=("auto", "table", "machine", "presentation"), default="auto")
-
-    add("dot", _cmd_dot, "DOT rendering of a machine (or of a table's transducer)", "source")
-
+        metavar, keywords = command.source or (command.kind, {})
+        p.add_argument("source", metavar=metavar, **keywords)
+        for arg, keywords in command.arguments:
+            p.add_argument(arg, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
         with node_budget(_budget()):
-            return args.fn(args)
+            source = args.source if command.kind == "name" else _load(args.source, command.kind)
+            result = command.run(source, args)
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except GarnormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if isinstance(result, str):
+        sys.stdout.write(result)
+        return 0
+    tree, code = result
+    report = Report(tree)
+    sys.stdout.write(report.to_json() if args.json else report.to_text())
+    return code
 
 
 if __name__ == "__main__":

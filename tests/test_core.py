@@ -869,7 +869,7 @@ def test_node_budget_is_per_thread():
     assert out == [max_derivation_length(bicyclic, w)]
 
 
-@pytest.mark.parametrize("n", (0, -1, 2.5, "10"))
+@pytest.mark.parametrize("n", (0, -1, 2.5, "10", True))
 def test_node_budget_must_be_a_positive_integer(n):
     with pytest.raises(GarnormError):
         with node_budget(n):

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from garnorm import (
     Alphabet,
+    BudgetExhausted,
     MealyMachine,
     Word,
     build_mealy,
@@ -31,6 +32,7 @@ from garnorm import (
     gallery_tables,
     growth,
     minimize,
+    node_budget,
     thurston_normalize,
     tuple_action_classes,
 )
@@ -139,6 +141,30 @@ def test_class_ids_match_product_oracle_on_random_machines():
 
 def test_growth_of_no_length_is_empty():
     assert growth(gallery("div3").machine, 0) == []
+
+
+def test_refined_levels_are_refused_past_the_node_budget():
+    """bs32's sweeping transducer fails the gate of growth and its 8 states
+    reduce no pair, so level k has 8**k tuples: level 4 is built from 512
+    tuples times 8 states, within a budget of 4096, and level 5 is refused."""
+    m = build_thurston(gallery("bs32").table)
+    with node_budget(4096):
+        assert growth(m, 4) == [8, 64, 428, 2509]
+        assert len(tuple_action_classes(m, 4)) == 4096
+        with pytest.raises(BudgetExhausted, match="budget of 4096"):
+            growth(m, 5)
+        with pytest.raises(BudgetExhausted, match="budget of 4096"):
+            tuple_action_classes(m, 5)
+
+
+def test_cached_pair_classes_are_not_charged_to_the_node_budget():
+    """The length-2 classes are kept on the machine, so a cold machine
+    answers under a budget of 1 as a warm one would."""
+    m = build_thurston(gallery("bs32").table)
+    u, v = state_word(m, (0, 1, 2)), state_word(m, (2, 1, 0))
+    with node_budget(1):
+        got = distinguishing_word(m, u, v)
+    assert got == bfs_distinguishing_word(m, u, v)
 
 
 def test_tuple_classes_are_keyed_in_product_order():

@@ -17,6 +17,7 @@ from garnorm.greedy import PresentedMonoid, greedy_table, make_family
 from garnorm.machines import build_mealy
 from garnorm.shell import (
     Report,
+    _build_parser,
     emit_machine,
     emit_presentation,
     emit_table,
@@ -454,6 +455,36 @@ def test_cli_growth(capsys):
     assert code == 0
     for line in ("growth.0 = 3", "growth.1 = 9", "growth.2 = 27", "growth.3 = 81"):
         assert line in out
+
+
+def test_cli_growth_refuses_a_negative_length(capsys):
+    code, out, err = run_cli(capsys, "growth", "gallery:div3", "--max", "-2")
+    assert (code, out) == (2, "")
+    assert err == "error: max_len must be at least 0, got -2\n"
+
+
+def test_each_subcommand_keeps_its_positional_names():
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    positionals = {
+        name: " ".join(a.metavar or a.dest for a in p._actions if not a.option_strings)
+        for name, p in subparsers.choices.items()
+    }
+    assert positionals == {
+        "check": "table",
+        "breadth": "table",
+        "home": "table",
+        "normalize": "table word",
+        "mealy": "table",
+        "thurston": "table",
+        "dual": "machine",
+        "run": "machine state word",
+        "iterate": "machine state word",
+        "equal": "source left right",
+        "growth": "machine",
+        "greedy": "presentation",
+        "gallery": "name",
+        "dot": "source",
+    }
 
 
 def test_cli_dot(capsys):
