@@ -38,10 +38,12 @@ when the machine is built (``build_thurston`` keeps the table it was
 given); the gates of :func:`thurston_normalize` and :func:`growth` read
 the table's verdict and padding letter off that table, which computes
 them once (``NormTable._inserter``).  Every other memo table is
-per-call except three, each computed on first use and kept on the
-machine: the dual machine (see :func:`dual`), the representative of each
+per-call except four, each computed on first use and kept on the
+machine: the dual machine (see :func:`dual`), the output and next-state
+rows of each state (see :func:`_state_rows`), the representative of each
 action class of length-2 state words (see :func:`_pair_reps`) and the
-fixed pairs behind the gate of :func:`growth` (see :func:`_fixed_pairs`).
+fixed pairs behind the gate of :func:`growth` (see :func:`_fixed_pairs`),
+which :func:`action_equal` reads too.
 Each is written once, without a lock; two threads that race compute equal
 values, and either assignment leaves a correct value, so concurrent
 readers are safe.
@@ -63,6 +65,7 @@ from .core import (
     Symbol,
     Word,
     _identity_pairs,
+    _insert_ids,
     _sweep,
     _sweep_to_normal,
     _word_from_ids,
@@ -82,7 +85,9 @@ class MealyMachine:
     their padding letter; otherwise it is None.
     """
 
-    __slots__ = ("states", "alphabet", "_pairs", "_idle", "_reps", "_fixed", "_table", "_dual")
+    __slots__ = (
+        "states", "alphabet", "_pairs", "_idle", "_rows", "_reps", "_fixed", "_table", "_dual",
+    )
 
     def __init__(
         self,
@@ -117,6 +122,7 @@ class MealyMachine:
         self._idle = tuple(
             all(pairs[x * s + i] == (i, x) for i in range(s)) for x in range(len(states))
         )
+        self._rows: tuple[tuple, tuple] | None = None  # see _state_rows
         self._reps: tuple[tuple[int, int], ...] | None = None  # see _pair_reps
         self._fixed: tuple[tuple[int, ...], ...] | None = None  # see _fixed_pairs
         self._table = NormTable._of_pairs(alphabet, pairs) if states == alphabet else None
@@ -330,6 +336,10 @@ def distinguishing_word(m: MealyMachine, u: Word, v: Word) -> Word | None:
     reachable pair set is finite, so the search terminates, and the first
     inconsistent letter ends the shortlex-least distinguishing input,
     which depends only on the two actions.
+
+    On machines that pass the gate of :func:`growth`, :func:`action_equal`
+    reads normal forms instead; this search is then the path to a witness,
+    and the oracle the tests check those normal forms against.
     """
     su = m.states.ids(u)
     sv = m.states.ids(v)
@@ -366,8 +376,35 @@ def distinguishing_word(m: MealyMachine, u: Word, v: Word) -> Word | None:
 
 def action_equal(m: MealyMachine, u: Word, v: Word) -> bool:
     """True iff the production functions of ``u`` and ``v`` agree on all
-    words."""
-    return distinguishing_word(m, u, v) is None
+    words.
+
+    A machine that passes the gate of :func:`growth` is the Mealy machine
+    of a home table T with padding letter 1, the table of the pairs of
+    ``dual(m)``; there the answer is read off two insertion runs of T
+    (``core._insert_ids``), one per state word, with the leading padding
+    letters stripped.  Every other machine runs :func:`distinguishing_word`.
+    The gated answer is exact:
+
+    - for words of one length, the growth docstring's argument: they act
+      alike iff their unit-padded normal forms agree;
+    - the unit state is idle, so it acts as the identity, and u acts as
+      1^k u for every k;
+    - the counted padding of ``_insert_ids`` gives N(u) = 1^j z_u with z_u
+      free of leading padding, and N(1^k u) = 1^(k+j) z_u.  So padding the
+      shorter word to the other's length shows that u and v act alike iff
+      z_u = z_v.
+    """
+    su = m.states.ids(u)
+    sv = m.states.ids(v)
+    if not su or not sv:
+        raise GarnormError("state words must be non-empty")
+    if not _fixed_pairs(m):
+        return distinguishing_word(m, u, v) is None
+    table = dual(m)._table
+    pairs, g, pad = table._pairs, len(m.states), table._pad
+    nu, nv = _insert_ids(pairs, g, su, pad), _insert_ids(pairs, g, sv, pad)
+    # the padding letters of a normal word are its prefix (see _insert_ids)
+    return nu[nu.count(pad):] == nv[nv.count(pad):]
 
 
 def _refine(initial_keys: list, next_rows: list) -> list[int]:
@@ -386,6 +423,20 @@ def _refine(initial_keys: list, next_rows: list) -> list[int]:
         if new == cls:
             return cls
         cls = new
+
+
+def _state_rows(m: MealyMachine) -> tuple[tuple, tuple]:
+    """The output rows and the next-state rows of the states of ``m``, one
+    tuple per state over the letters, read off the flat pair table once
+    and kept in ``m._rows``, written once without a lock as ``m._reps``
+    is."""
+    rows = m._rows
+    if rows is None:
+        q, s = len(m.states), len(m.alphabet)
+        out, nxt = zip(*m._pairs) if m._pairs else ((), ())
+        rows = m._rows = (tuple(out[x * s:(x + 1) * s] for x in range(q)),
+                          tuple(nxt[x * s:(x + 1) * s] for x in range(q)))
+    return rows
 
 
 def _levels(m: MealyMachine, length: int, reps=None):
@@ -413,11 +464,9 @@ def _levels(m: MealyMachine, length: int, reps=None):
     """
     if length < 1:
         return
-    q, s = len(m.states), len(m.alphabet)
+    q = len(m.states)
     budget = _NODE_BUDGET.get() if reps is None else float("inf")
-    out, nxt = zip(*m._pairs) if m._pairs else ((), ())
-    out = [out[x * s:(x + 1) * s] for x in range(q)]
-    nxt = [nxt[x * s:(x + 1) * s] for x in range(q)]
+    out, nxt = _state_rows(m)
     tuples, outs, succs = [(x,) for x in range(q)], out, nxt
     yield tuples, outs, succs
     for k in range(2, length + 1):

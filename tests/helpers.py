@@ -11,6 +11,8 @@ from collections import deque
 from functools import lru_cache
 import itertools
 
+from hypothesis import strategies as st
+
 from garnorm import (
     UNBOUNDED,
     Alphabet,
@@ -534,6 +536,33 @@ def changing_sweeps(t, ids) -> int:
     while (swept := _sweep(pairs, g, ids[0], ids[1:])) != ids:
         ids, count = swept, count + 1
     return count
+
+
+#: The kinds of table ``draw_idempotent_pair_map`` draws.
+PAIR_MAP_KINDS = ("padding", "failing unit", "no unit")
+
+
+def draw_idempotent_pair_map(draw) -> tuple[str, NormTable]:
+    """With a Hypothesis ``draw``, one of the ``PAIR_MAP_KINDS`` and a table
+    of that kind on 2-5 letters.  Letter 1 gets the padding entries unless
+    there is no unit; a failing unit loses one entry (x, 1) -> (1, x).  Up
+    to a third of the other pairs are rewritten, each to a pair left fixed,
+    so the map is idempotent."""
+    g = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(PAIR_MAP_KINDS))
+    unit = kind != "no unit"
+    names = ("1",) * unit + tuple("abcde")[: g - unit]
+    pairs = list(itertools.product(range(g), repeat=2))
+    rules = {(x, 0): (0, x) for x in range(1, g)} if unit else {}
+    if kind == "failing unit":
+        del rules[(draw(st.integers(1, g - 1)), 0)]
+    free = [p for p in pairs if p not in rules and not (unit and p[0] == 0)]
+    moved = draw(st.lists(st.sampled_from(free), min_size=1, max_size=max(1, len(free) // 3),
+                          unique=True))
+    fixed = [p for p in pairs if p not in rules and p not in moved]
+    rules.update((p, draw(st.sampled_from(fixed))) for p in moved)
+    named = [((names[a], names[b]), (names[c], names[d])) for (a, b), (c, d) in rules.items()]
+    return kind, NormTable(Alphabet(names), named, unit="1" if unit else None)
 
 
 def carried_insertion(pairs, g: int, ids) -> tuple[int, ...]:

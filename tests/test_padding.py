@@ -13,7 +13,6 @@ import itertools
 from hypothesis import assume, given, settings, strategies as st
 
 from garnorm import (
-    Alphabet,
     MealyMachine,
     NormTable,
     build_thurston,
@@ -23,9 +22,12 @@ from garnorm import (
     thurston_normalize,
 )
 from garnorm.core import _insert_ids, _padding_letter
-from helpers import carried_insertion, transition_tables
-
-KINDS = ("padding", "failing unit", "no unit")
+from helpers import (
+    PAIR_MAP_KINDS as KINDS,
+    carried_insertion,
+    draw_idempotent_pair_map,
+    transition_tables,
+)
 
 
 def padding_letters(table: NormTable) -> list[int]:
@@ -50,27 +52,11 @@ def words_up_to(g: int, max_len: int):
 
 @st.composite
 def home_tables_and_words(draw):
-    """A pair map on 2-5 letters of one of the three ``KINDS``, and 1-20
-    words of 1-64 letters over it.  Letter 1 gets the padding entries
-    unless there is no unit; a failing unit loses one entry (x, 1) -> (1, x).
-    Up to a third of the other pairs are rewritten, each to a pair left
-    fixed, so the map is idempotent."""
-    g = draw(st.integers(2, 5))
-    kind = draw(st.sampled_from(KINDS))
-    unit = kind != "no unit"
-    names = ("1",) * unit + tuple("abcde")[: g - unit]
-    pairs = list(itertools.product(range(g), repeat=2))
-    rules = {(x, 0): (0, x) for x in range(1, g)} if unit else {}
-    if kind == "failing unit":
-        del rules[(draw(st.integers(1, g - 1)), 0)]
-    free = [p for p in pairs if p not in rules and not (unit and p[0] == 0)]
-    moved = draw(st.lists(st.sampled_from(free), min_size=1, max_size=max(1, len(free) // 3),
-                          unique=True))
-    fixed = [p for p in pairs if p not in rules and p not in moved]
-    rules.update((p, draw(st.sampled_from(fixed))) for p in moved)
-    named = [((names[a], names[b]), (names[c], names[d])) for (a, b), (c, d) in rules.items()]
-    table = NormTable(Alphabet(names), named, unit="1" if unit else None)
-    letter = st.integers(0, g - 1)
+    """A pair map of one of the three ``KINDS`` (see
+    ``helpers.draw_idempotent_pair_map``), and 1-20 words of 1-64 letters
+    over it."""
+    kind, table = draw_idempotent_pair_map(draw)
+    letter = st.integers(0, len(table.alphabet) - 1)
     words = draw(st.lists(st.lists(letter, min_size=1, max_size=64).map(tuple),
                           min_size=1, max_size=20))
     return kind, table, words

@@ -330,6 +330,22 @@ def test_gate_is_cached_outside_equality():
     assert parsed._fixed == fixed
 
 
+def test_state_rows_are_cached_outside_equality():
+    t = gallery("bs32").table
+    m, fresh = build_mealy(t), build_mealy(t)
+    assert m._rows is None
+    want = minimize(m)
+    rows = m._rows
+    nxt, out = transition_tables(m)
+    assert rows == (tuple(map(tuple, out)), tuple(map(tuple, nxt)))
+    assert fresh._rows is None
+    assert m == fresh and hash(m) == hash(fresh)
+    assert minimize(m) == want
+    tuple_action_classes(m, 2)
+    assert m._rows is rows  # written once, then reused
+    assert minimize(fresh) == want and fresh._rows == rows
+
+
 def test_length_one_words_need_no_representatives():
     div3 = gallery("div3").machine
     m = MealyMachine(div3.states, div3.alphabet, *transition_tables(div3))
