@@ -550,8 +550,11 @@ def _sweep(pairs, g: int, a: int, w: Sequence[int]) -> list[int]:
     written letters, then the last carried one: one left-to-right sweep of
     the word a w.  On a Mealy machine's pair table this is the run from
     state ``a`` over ``w``, which machines compute with a loop that stops
-    at an idle state.  A normal word sweeps to itself, but so may a word
-    that is not normal (a carried letter can be put back further on)."""
+    at an idle state; on its dual's pairs it threads the letter ``a``
+    through the tuple of states ``w``, writing the successor tuple and
+    carrying the output.  A normal word sweeps to itself, but so may a
+    word that is not normal (a carried letter can be put back further
+    on)."""
     res = []
     for b in w:
         c, a = pairs[a * g + b]

@@ -134,7 +134,6 @@ class _Search:
     """
 
     def __init__(self, monoid: PresentedMonoid, budget: int):
-        self.monoid = monoid
         self.budget = budget
         rules = []
         for lhs, rhs in monoid.relations:

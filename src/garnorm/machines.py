@@ -24,7 +24,9 @@ forward words.
 A machine is stored as its pair table in the flat encoding of ``NormTable``:
 (output, next state) of state q on letter i at index q * s + i over s
 letters.  So the sweeping transducer is the table's own pairs, and a run
-from q over w writes what the sweep ``core._sweep`` of the word q w writes.
+from q over w writes what the sweep ``core._sweep`` of the word q w writes;
+a letter threaded through a tuple of states is one sweep of the dual
+machine's pairs (see :func:`distinguishing_word`).
 Machines list their *idle* states, those that write every letter they read
 and stay put.  Every run goes through one loop, :func:`_run_in_place`,
 which stops at the first idle state, since the rest of its output is the
@@ -279,18 +281,6 @@ def run_word(m: MealyMachine, u: Word, w: Word) -> Word:
 # deciding action equality
 
 
-def _thread(pairs, s: int, tup: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
-    """One letter through a tuple of states of the machine with pair table
-    ``pairs`` over s letters: the letter enters the first state, each
-    output feeds the next state.  Returns (final output, successor
-    tuple)."""
-    res = []
-    for q in tup:
-        j, n = pairs[q * s + j]
-        res.append(n)
-    return j, tuple(res)
-
-
 def _pair_reps(m: MealyMachine) -> tuple[tuple[int, int], ...]:
     """The least pair, in lexicographic order, of the action class of each
     length-2 state word, at index a * q + b for the pair (a, b).
@@ -332,10 +322,13 @@ def distinguishing_word(m: MealyMachine, u: Word, v: Word) -> Word | None:
     machine); when the reduced tuples coincide the actions agree.
     Otherwise a breadth-first bisimulation runs over pairs of state
     tuples, trying letters in order: a pair is consistent iff every letter
-    produces equal threaded outputs and a consistent successor pair.  The
-    reachable pair set is finite, so the search terminates, and the first
-    inconsistent letter ends the shortlex-least distinguishing input,
-    which depends only on the two actions.
+    produces equal threaded outputs and a consistent successor pair.  A
+    letter j is threaded through a tuple t by one sweep of the dual
+    machine, ``core._sweep(dual(m)._pairs, q, j, t)``, whose letters are
+    the states of t: it writes the successor tuple and carries the output
+    of the last state.  The reachable pair set is finite, so the search
+    terminates, and the first inconsistent letter ends the shortlex-least
+    distinguishing input, which depends only on the two actions.
 
     On machines that pass the gate of :func:`growth`, :func:`action_equal`
     reads normal forms instead; this search is then the path to a witness,
@@ -351,14 +344,13 @@ def distinguishing_word(m: MealyMachine, u: Word, v: Word) -> Word | None:
     seen = {start}
     parent: dict = {}
     queue = deque([start])
-    pairs, s = m._pairs, len(m.alphabet)
+    pairs, q = dual(m)._pairs, len(m.states)
     while queue:
         cur = queue.popleft()
         a, b = cur
-        for j in range(s):
-            oa, na = _thread(pairs, s, a, j)
-            ob, nb = _thread(pairs, s, b, j)
-            if oa != ob:
+        for j in range(len(m.alphabet)):
+            na, nb = _sweep(pairs, q, j, a), _sweep(pairs, q, j, b)
+            if na.pop() != nb.pop():
                 letters = [j]
                 p = cur
                 while p != start:
@@ -366,7 +358,7 @@ def distinguishing_word(m: MealyMachine, u: Word, v: Word) -> Word | None:
                     letters.append(jj)
                 letters.reverse()
                 return _word_from_ids(m.alphabet, letters)
-            child = (na, nb)
+            child = (tuple(na), tuple(nb))
             if child not in seen:
                 seen.add(child)
                 parent[child] = (cur, j)
@@ -382,8 +374,9 @@ def action_equal(m: MealyMachine, u: Word, v: Word) -> bool:
     of a home table T with padding letter 1, the table of the pairs of
     ``dual(m)``; there the answer is read off two insertion runs of T
     (``core._insert_ids``), one per state word, with the leading padding
-    letters stripped.  Every other machine runs :func:`distinguishing_word`.
-    The gated answer is exact:
+    letters stripped.  Every other machine runs :func:`distinguishing_word`,
+    which reads and checks the state words as this path does: u, then v,
+    then the error on an empty word.  The gated answer is exact:
 
     - for words of one length, the growth docstring's argument: they act
       alike iff their unit-padded normal forms agree;
@@ -394,12 +387,12 @@ def action_equal(m: MealyMachine, u: Word, v: Word) -> bool:
       shorter word to the other's length shows that u and v act alike iff
       z_u = z_v.
     """
+    if not _fixed_pairs(m):
+        return distinguishing_word(m, u, v) is None
     su = m.states.ids(u)
     sv = m.states.ids(v)
     if not su or not sv:
         raise GarnormError("state words must be non-empty")
-    if not _fixed_pairs(m):
-        return distinguishing_word(m, u, v) is None
     table = dual(m)._table
     pairs, g, pad = table._pairs, len(m.states), table._pad
     nu, nv = _insert_ids(pairs, g, su, pad), _insert_ids(pairs, g, sv, pad)

@@ -124,10 +124,10 @@ def test_only_machines_outside_the_gate_search(monkeypatch):
     class Searched(Exception):
         pass
 
-    def thread(*args):
+    def search(*args):
         raise Searched
 
-    monkeypatch.setattr(machines, "_thread", thread)
+    monkeypatch.setattr(machines, "distinguishing_word", search)
     word = BRAID3.states.word
     assert action_equal(BRAID3, word("1 a b a"), word("b a b"))
     assert not action_equal(BRAID3, word("a b"), word("b a"))

@@ -129,7 +129,7 @@ def pair_maps(draw, max_letters: int = 4):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(pair_maps())
+@given(pair_maps(max_letters=5))
 def test_verify_normalisation_matches_dict_oracle(table):
     confl, dead = dict_oracle_words(table, 4)
     want = NormalisationReport(
@@ -227,7 +227,7 @@ def test_normalize_matches_brute_force_on_random_tables(record_testsuite_propert
     seen = {"normalised": 0, "not_normalising": 0, "not_confluent": 0}
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(pair_maps())
+    @given(pair_maps(max_letters=5))
     def check(table):
         assume(not table._incremental())
         g = len(table.alphabet)
