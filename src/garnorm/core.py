@@ -50,6 +50,7 @@ unlocked writes are harmless.
 
 from __future__ import annotations
 
+import collections.abc
 import contextlib
 import contextvars
 import graphlib
@@ -839,17 +840,84 @@ def normalize(table: NormTable, w: Word) -> Word:
 # table verification
 
 
+@lru_cache(maxsize=16)
+def _halves(g: int, n: int) -> tuple[int, tuple, tuple]:
+    """The letter ids of every word code of length ``n`` over ``g`` letters,
+    split in two: code c is ``highs[c // low] + lows[c % low]``."""
+    low = g ** (n // 2)
+    highs = tuple(itertools.product(range(g), repeat=n - n // 2))
+    return low, highs, tuple(itertools.product(range(g), repeat=n // 2))
+
+
+class Witnesses(collections.abc.Sequence):
+    """The witnesses of one kind from :func:`verify_normalisation`, kept as
+    word codes and decoded when read.
+
+    ``runs`` holds, for each length n, the pair (n, codes): codes are the
+    sorted codes of the words of length n (as in
+    :func:`_rewrite_analysis`), or, for non-confluent words, (word, least
+    normal word, next normal word) code triples.  An item read is a word
+    over ``alphabet``, or a triple of words.  The sequence is read-only: it
+    supports ``len``, truth, iteration and indexing (negative indices too;
+    a slice gives a list), and compares equal to the list it decodes to.
+    Two sequences over equal alphabets compare their codes.
+    """
+
+    __slots__ = ("alphabet", "_runs", "_len")
+
+    def __init__(self, alphabet: Alphabet, runs: Iterable[tuple[int, list]] = ()):
+        self.alphabet = alphabet
+        self._runs = tuple((n, codes) for n, codes in runs if codes)
+        self._len = sum(len(codes) for _, codes in self._runs)
+
+    def _decoder(self, n: int):
+        al, (low, highs, lows) = self.alphabet, _halves(len(self.alphabet), n)
+        word = lambda code: _word_from_ids(al, highs[code // low] + lows[code % low])
+        return lambda item: word(item) if type(item) is int else tuple(map(word, item))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator:
+        for n, codes in self._runs:
+            yield from map(self._decoder(n), codes)
+
+    def __getitem__(self, idx):
+        picked = range(self._len)[idx]
+        if isinstance(picked, range):
+            return [self[i] for i in picked]
+        for n, codes in self._runs:
+            if picked < len(codes):
+                return self._decoder(n)(codes[picked])
+            picked -= len(codes)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Witnesses) and other.alphabet == self.alphabet:
+            return self._runs == other._runs
+        if isinstance(other, (list, Witnesses)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __reduce__(self):
+        return Witnesses, (self.alphabet, self._runs)
+
+
 @dataclass
 class NormalisationReport:
     """Witness lists from :func:`verify_normalisation`; empty means the
     table behaved as a normalisation restriction at the checked scale, and
     at every length when the table has an insertion kernel (class (4,3) or
-    (3,4), see :meth:`NormTable._inserter`)."""
+    (3,4), see :meth:`NormTable._inserter`).  A search reports its dead
+    and non-confluent words as read-only :class:`Witnesses`, decoded when
+    read, that compare equal to lists."""
 
     max_len: int
     idempotence_failures: list = field(default_factory=list)
-    not_normalising: list = field(default_factory=list)  # words with no reachable normal form
-    not_confluent: list = field(default_factory=list)  # (word, normal form 1, normal form 2)
+    not_normalising: Sequence = field(default_factory=list)  # words with no reachable normal form
+    not_confluent: Sequence = field(default_factory=list)  # (word, normal form 1, normal form 2)
     # Always empty: N(u N(w) v) = N(uwv) follows from unique normal forms
     # (see verify_normalisation).  Kept so the report keeps its shape.
     axiom_failures: list = field(default_factory=list)
@@ -868,9 +936,11 @@ def _rewrite_analysis(table: NormTable, max_len: int):
     """Classify every word of length 2..max_len by its reachable normal
     words.
 
-    Returns (confluence_failures, dead): the words reaching two distinct
-    normal forms, as (word, least normal form, next normal form), and the
-    words reaching none, both in length-then-lexicographic order.  Works
+    Returns (confluence_failures, dead) as two :class:`Witnesses`: the
+    words reaching two distinct normal forms, as (word, least normal form,
+    next normal form), and the words reaching none, both in
+    length-then-lexicographic order.  They keep word codes, so no word is
+    made until a witness is read.  Works
     backwards from the normal words, so it is exact even when forward
     rewriting cycles.  A length-n word is coded as the integer
     sum(w[i] * g**(n-1-i)), so numeric order is lexicographic order and
@@ -913,7 +983,6 @@ def _rewrite_analysis(table: NormTable, max_len: int):
         if c * g + d != k:
             back[c * g + d].append(k - c * g - d)
     follow = [[b for b in range(g) if pairs[a * g + b] == (a, b)] for a in range(g)]
-    al = table.alphabet
 
     confl, dead = [], []
     normals = list(range(g))
@@ -945,18 +1014,11 @@ def _rewrite_analysis(table: NormTable, max_len: int):
                         stack.append(v)
         if not twice and -1 not in first:
             continue
-        # a code is decoded as its high and its low half of letters
-        low = g ** (n // 2)
-        highs = list(itertools.product(range(g), repeat=n - n // 2))
-        lows = list(itertools.product(range(g), repeat=n // 2))
-        word = lambda code: _word_from_ids(al, highs[code // low] + lows[code % low])
+        # codes only: the witnesses are decoded when read
         twice.sort()
-        # each normal word of a witness is decoded once
-        labels = {*map(first.__getitem__, twice), *map(second.__getitem__, twice)}
-        normal = {j: word(normals[j]) for j in labels}
-        confl.extend((word(w), normal[first[w]], normal[second[w]]) for w in twice)
-        dead.extend(map(word, itertools.compress(range(g**n), map((-1).__eq__, first))))
-    return confl, dead
+        confl.append((n, [(w, normals[first[w]], normals[second[w]]) for w in twice]))
+        dead.append((n, list(itertools.compress(range(g**n), map((-1).__eq__, first)))))
+    return Witnesses(table.alphabet, confl), Witnesses(table.alphabet, dead)
 
 
 def verify_normalisation(table: NormTable, max_len: int = 5) -> NormalisationReport:
@@ -1009,6 +1071,10 @@ def verify_normalisation(table: NormTable, max_len: int = 5) -> NormalisationRep
     next one.  Each word searched costs one node of the
     :func:`node_budget`; :class:`BudgetExhausted` is raised before the
     search when the words of length 2..max_len outnumber it.
+
+    The witnesses of a search are :class:`Witnesses`, read-only sequences
+    that decode a word only when it is read (``ok`` makes none) and compare
+    equal to the lists they decode to; they cannot be appended to.
     """
     if max_len < 3:
         raise GarnormError("max_len must be at least 3")

@@ -53,7 +53,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import core, machines
 from .core import (
@@ -418,10 +418,13 @@ def _load(source: str, part: str):
 # commands
 
 
-def _truncate(items: list, limit: int = 10) -> list:
-    if len(items) <= limit:
-        return items
-    return items[:limit] + [f"(+{len(items) - limit} more)"]
+def _truncate(items: Sequence, text, limit: int = 10) -> list:
+    """The first ``limit`` items as ``text`` makes them, then how many more
+    there are; the rest are neither read nor formatted."""
+    shown = [text(x) for x in items[:limit]]
+    if len(items) > limit:
+        shown.append(f"(+{len(items) - limit} more)")
+    return shown
 
 
 def _check(table, args):
@@ -431,15 +434,11 @@ def _check(table, args):
         "max_len": args.max_len,
         "ok": report.ok,
         "idempotence_failures": _truncate(
-            [
-                f"({a} {b}) -> ({c} {d}) -> ({e} {f})"
-                for (a, b), (c, d), (e, f) in report.idempotence_failures
-            ]
+            report.idempotence_failures,
+            lambda p: "({} {}) -> ({} {}) -> ({} {})".format(*p[0], *p[1], *p[2]),
         ),
-        "not_normalising": _truncate([str(w) for w in report.not_normalising]),
-        "not_confluent": _truncate(
-            [f"{w} -> {x} and {y}" for w, x, y in report.not_confluent]
-        ),
+        "not_normalising": _truncate(report.not_normalising, str),
+        "not_confluent": _truncate(report.not_confluent, lambda t: "{} -> {} and {}".format(*t)),
         "axiom_failures": [],  # always empty, see core.verify_normalisation
     }
     ok = report.ok

@@ -13,6 +13,7 @@ random tables, ``normalize`` must agree with the exhaustive closure
 """
 
 import itertools
+import pickle
 import random
 import tracemalloc
 
@@ -34,7 +35,7 @@ from garnorm import (
 from garnorm import core
 from garnorm.core import NormalisationReport, _rewrite_analysis, _word_from_ids
 from helpers import brute_normal_forms, dict_rewrite_analysis, positional_rewrite_analysis
-from garnorm.shell import parse_table
+from garnorm.shell import main, parse_table
 from test_incremental import class_34_tables, random_idempotent_table
 from test_verify import SEARCHED_TABLE, random_free_table
 
@@ -250,3 +251,115 @@ def test_normalize_matches_brute_force_on_random_tables(record_testsuite_propert
     for key, count in seen.items():
         record_testsuite_property(key, count)
         assert count > 0, key
+
+
+#: A 4-letter table outside both classes whose words are mostly dead: at
+#: ``max_len`` 8, 75 943 of the 87 376 words of length 2-8 reach no normal
+#: word, and none reaches two.
+DEAD_TABLE = """alphabet a b c d
+rule a b -> d a
+rule a d -> b d
+rule b d -> a d
+rule c d -> b a
+rule d b -> b d
+"""
+
+#: A 4-letter idempotent table outside both classes with both kinds of
+#: witness: at ``max_len`` 6, 2 201 non-confluent words and 811 dead ones.
+CONFLUENCE_TABLE = """alphabet a b c d
+rule a b -> c b
+rule a d -> c b
+rule b a -> b b
+rule b c -> a c
+rule b d -> d d
+rule c d -> c c
+rule d b -> b b
+rule d c -> c a
+"""
+
+
+def test_witnesses_decode_the_right_codes():
+    """The last witness and the last ten of two large reports against the
+    scan of every position, so that decoding the wrong code fails."""
+    last = {}
+    for text, max_len, sizes in [(DEAD_TABLE, 8, (0, 75_943)), (CONFLUENCE_TABLE, 6, (2_201, 811))]:
+        table = parse_table(text)
+        got = _rewrite_analysis(table, max_len)
+        want = positional_rewrite_analysis(table, max_len)
+        assert (len(got[0]), len(got[1])) == sizes
+        for witnesses, words in zip(got, want):
+            if words:
+                assert witnesses[-1] == words[-1] and witnesses[len(words) - 1] == words[-1]
+                assert witnesses[-10:] == words[-10:] and witnesses[0] == words[0]
+            assert witnesses == words
+        last[text] = [w[-1] for w in got if w]
+        assert got[1][-1][0].alphabet is table.alphabet
+    (dead,) = last[DEAD_TABLE]
+    assert str(dead) == "d d d d d d d b" and dead.ids() == (3,) * 7 + (1,)
+    confl, dead = last[CONFLUENCE_TABLE]
+    assert [str(w) for w in confl] == ["d d d d c d", "c a a a a c", "c a a a c b"]
+    assert str(dead) == "d d d b b c"
+
+
+def test_witnesses_index_slice_and_compare_like_lists():
+    table = parse_table(CONFLUENCE_TABLE)
+    confl, dead = _rewrite_analysis(table, 5)
+    words = list(dead)
+    assert len(words) == len(dead) == 143 and bool(dead)
+    for i in (0, 1, 3, 50, 142, -1, -2, -143):
+        assert dead[i] == words[i]
+    for s in (slice(3), slice(-5, None), slice(10, 40, 7), slice(None, None, -1), slice(200, 300)):
+        assert dead[s] == words[s] and isinstance(dead[s], list)
+    with pytest.raises(IndexError):
+        dead[143]
+    with pytest.raises(IndexError):
+        dead[-144]
+    # == and != both ways, against lists and between two reports
+    assert dead == words and words == dead and not (dead != words) and not (words != dead)
+    assert dead != words[:-1] and words[:-1] != dead and dead != words[::-1]
+    assert dead != tuple(words) and confl != dead and confl == list(confl)
+    again = _rewrite_analysis(table, 5)
+    assert again == (confl, dead) and again[1] is not dead
+    assert _rewrite_analysis(table, 4)[1] != dead
+    # equal over an equal alphabet, compared through their words otherwise
+    renamed = parse_table(CONFLUENCE_TABLE.replace("c", "e"))
+    assert _rewrite_analysis(parse_table(CONFLUENCE_TABLE), 5) == (confl, dead)
+    assert _rewrite_analysis(renamed, 5)[1] != dead
+    assert repr(dead) == repr(words) and repr(confl[:1]) == repr(list(confl)[:1])
+    empty = _rewrite_analysis(parse_table(SEARCHED_TABLE), 5)
+    assert empty == ([], []) and [] == empty[0] and not empty[1] and len(empty[1]) == 0
+    with pytest.raises(AttributeError):
+        dead.append(words[0])
+
+
+def test_report_reads_no_word_for_ok_len_and_truth(monkeypatch):
+    decoded = []
+    real = core._word_from_ids
+    monkeypatch.setattr(core, "_word_from_ids", lambda al, ids: decoded.append(ids) or real(al, ids))
+    report = verify_normalisation(parse_table(DEAD_TABLE), 8)
+    assert not report.ok and bool(report.not_normalising) and not report.not_confluent
+    assert len(report.not_normalising) == 75_943
+    assert decoded == []
+    assert str(report.not_normalising[-1]) == "d d d d d d d b" and len(decoded) == 1
+
+
+def test_check_formats_the_witnesses_it_prints(monkeypatch, capsys, tmp_path):
+    decoded = []
+    real = core._word_from_ids
+    monkeypatch.setattr(core, "_word_from_ids", lambda al, ids: decoded.append(ids) or real(al, ids))
+    path = tmp_path / "dead.table"
+    path.write_text(DEAD_TABLE)
+    assert main(["check", str(path), "--max-len", "8"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "not_normalising.9 = a d d" in out and "not_normalising.10 = (+75933 more)" in out
+    assert len(decoded) == 10
+
+
+def test_witnesses_pickle():
+    table = parse_table(CONFLUENCE_TABLE)
+    report = verify_normalisation(table, 5)
+    back = pickle.loads(pickle.dumps(report))
+    assert back == report and report == back
+    assert back.not_confluent == list(report.not_confluent) and len(back.not_normalising) == 143
+    assert back.not_normalising.alphabet == table.alphabet
+    assert back.not_normalising[-1].names() == report.not_normalising[-1].names()
